@@ -8,16 +8,16 @@
    experiment family), so regressions in the simulation infrastructure
    show up here.
 
-   `main.exe simulate [--smoke] [--out FILE] [-j N] [--cache-dir DIR |
-   --no-cache]` instead runs the simulator self-benchmark
+   `main.exe simulate [--smoke] [--out FILE] [-j N] [--no-cache]`
+   instead runs the simulator self-benchmark
    (Ninja_core.Selfbench): simulated-ops/s of the fast path, of the
    optimizer pass pipeline and of the closure-compiled backend against
    the reference baseline over the benchmark suite on both machines,
-   plus a cold-then-warm timing of the experiment grid against the
-   persistent result store, written as a JSON report
-   (BENCH_simulator.json by default). `--smoke` shrinks the throughput
-   grid to one job and the store grid to experiment F1 against a
-   throwaway cache directory, then asserts the warm pass executed zero
+   plus a cold-then-warm timing of the experiment grid against a
+   throwaway result store of its own (so cold simulates every job;
+   `--no-cache` skips this part), written as a JSON report
+   (BENCH_simulator.json by default). `--smoke` shrinks the throughput grid to one job and the store grid
+   to experiment F1, then asserts the warm pass executed zero
    simulations at least 5x faster than cold — the @bench-smoke CI gate,
    which also fails when the compiled geomean falls below the optimized
    one.
@@ -213,21 +213,6 @@ let validate_report ?(slack = 0.) ~expect_grid path =
       | Some 0. -> ()
       | _ -> failwith (path ^ ": grid.warm_executed missing or nonzero"))
 
-(* A fresh scratch directory for the smoke run's store, so cold means
-   cold whatever state the build directory is in. *)
-let fresh_cache_dir () =
-  let f = Filename.temp_file "ninja-smoke-cache" "" in
-  Sys.remove f;
-  Unix.mkdir f 0o755;
-  f
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
 let run_simulate () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   let out = Option.value (flag_value "--out") ~default:"BENCH_simulator.json" in
@@ -251,50 +236,40 @@ let run_simulate () =
             j.Selfbench.j_baseline_s)
         ()
   in
+  (* cold-then-warm timing of the experiment grid against a throwaway
+     store (Selfbench.run_grid owns it); --no-cache skips it *)
   let no_cache = Array.exists (( = ) "--no-cache") Sys.argv in
   let grid =
     if no_cache then None
     else if smoke then begin
-      (* cold-then-warm over the F1 grid against a throwaway store; the
-         warm pass must be pure disk reads, and decisively faster *)
-      let dir = fresh_cache_dir () in
-      Fun.protect
-        ~finally:(fun () -> rm_rf dir)
-        (fun () ->
-          let store = Ninja_core.Store.open_ ~dir () in
-          let g =
-            Selfbench.run_grid ?domains ~experiments:[ E.find "f1" ] ~store ()
-          in
-          Fmt.epr "%a@." Selfbench.pp_grid g;
-          if g.Selfbench.g_cold_executed <> g.Selfbench.g_jobs then
-            failwith
-              (Fmt.str "cold grid run simulated %d of %d jobs"
-                 g.Selfbench.g_cold_executed g.Selfbench.g_jobs);
-          if g.Selfbench.g_warm_executed <> 0 then
-            failwith
-              (Fmt.str "warm grid rerun simulated %d jobs; store failed"
-                 g.Selfbench.g_warm_executed);
-          if g.Selfbench.g_warm_store_hits <> g.Selfbench.g_jobs then
-            failwith
-              (Fmt.str "warm grid rerun served %d of %d jobs from the store"
-                 g.Selfbench.g_warm_store_hits g.Selfbench.g_jobs);
-          if g.Selfbench.g_warm_speedup < 5. then
-            failwith
-              (Fmt.str "warm grid rerun only %.1fx faster than cold (need 5x)"
-                 g.Selfbench.g_warm_speedup);
-          Some g)
+      (* the F1 grid only; the warm pass must be pure disk reads, and
+         decisively faster *)
+      let g = Selfbench.run_grid ?domains ~experiments:[ E.find "f1" ] () in
+      Fmt.epr "%a@." Selfbench.pp_grid g;
+      if g.Selfbench.g_cold_executed <> g.Selfbench.g_jobs then
+        failwith
+          (Fmt.str "cold grid run simulated %d of %d jobs"
+             g.Selfbench.g_cold_executed g.Selfbench.g_jobs);
+      if g.Selfbench.g_warm_executed <> 0 then
+        failwith
+          (Fmt.str "warm grid rerun simulated %d jobs; store failed"
+             g.Selfbench.g_warm_executed);
+      if g.Selfbench.g_warm_store_hits <> g.Selfbench.g_jobs then
+        failwith
+          (Fmt.str "warm grid rerun served %d of %d jobs from the store"
+             g.Selfbench.g_warm_store_hits g.Selfbench.g_jobs);
+      if g.Selfbench.g_warm_speedup < 5. then
+        failwith
+          (Fmt.str "warm grid rerun only %.1fx faster than cold (need 5x)"
+             g.Selfbench.g_warm_speedup);
+      Some g
     end
-    else
-      match install_store () with
-      | None -> None
-      | Some store ->
-          let g = Selfbench.run_grid ?domains ~store () in
-          Fmt.epr "%a@." Selfbench.pp_grid g;
-          if g.Selfbench.g_warm_executed <> 0 then
-            failwith
-              (Fmt.str "warm grid rerun simulated %d jobs; store failed"
-                 g.Selfbench.g_warm_executed);
-          Some g
+    else begin
+      let g = Selfbench.run_grid ?domains () in
+      Fmt.epr "%a@." Selfbench.pp_grid g;
+      Selfbench.check_grid g;
+      Some g
+    end
   in
   Selfbench.write_json ?grid ~path:out r;
   Fmt.epr "%a@." Selfbench.pp_result r;

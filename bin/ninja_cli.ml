@@ -113,10 +113,10 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc ~docv:"N")
 
-(* Persistent result store: shared by `experiments` and `bench`. The store
-   is content-addressed (program + machine + step + simulator version), so
-   reusing a cache directory across code changes is always sound — stale
-   entries simply miss. *)
+(* Persistent result store: shared by `experiments`, `tune` and `serve`.
+   The store is content-addressed (program + machine + step + simulator
+   version), so reusing a cache directory across code changes is always
+   sound — stale entries simply miss. *)
 
 let cache_dir_arg =
   let doc =
@@ -622,7 +622,11 @@ let bench_cmd =
     in
     Arg.(value & flag & info [ "smoke" ] ~doc)
   in
-  let run mode out smoke jobs cache_dir no_cache backend opt no_opt passes =
+  let no_grid_arg =
+    let doc = "Skip the cold/warm timing of the experiment grid." in
+    Arg.(value & flag & info [ "no-cache" ] ~doc)
+  in
+  let run mode out smoke jobs no_cache backend opt no_opt passes =
     if mode <> "simulate" then begin
       Fmt.epr "unknown bench mode %S (try: simulate)@." mode;
       exit 1
@@ -652,24 +656,20 @@ let bench_cmd =
               j.S.j_compiled_s j.S.j_baseline_s)
           ()
     in
-    (* cold/warm experiment-grid timing against the persistent store
-       (skipped under --no-cache); the smoke run uses the F1 grid only *)
+    (* cold/warm experiment-grid timing against a throwaway store of its
+       own (skipped under --no-cache); the smoke run uses the F1 grid only *)
     let grid =
-      match install_store ~cache_dir ~no_cache with
-      | None -> None
-      | Some st ->
-          let experiments =
-            if smoke then [ Ninja_core.Experiments.find "f1" ]
-            else Ninja_core.Experiments.all
-          in
-          let g = S.run_grid ?domains:jobs ~experiments ~store:st () in
-          Fmt.epr "%a@." S.pp_grid g;
-          Fmt.epr "%a@." pp_store_stats st;
-          if g.S.g_warm_executed <> 0 then
-            failwith
-              (Fmt.str "warm grid rerun simulated %d jobs; store failed"
-                 g.S.g_warm_executed);
-          Some g
+      if no_cache then None
+      else begin
+        let experiments =
+          if smoke then [ Ninja_core.Experiments.find "f1" ]
+          else Ninja_core.Experiments.all
+        in
+        let g = S.run_grid ?domains:jobs ~experiments () in
+        Fmt.epr "%a@." S.pp_grid g;
+        S.check_grid g;
+        Some g
+      end
     in
     S.write_json ?grid ~path:out r;
     Fmt.epr "%a@." S.pp_result r;
@@ -682,8 +682,8 @@ let bench_cmd =
           reference baseline; cold vs warm result store) and write a JSON \
           report")
     Term.(
-      const run $ mode_arg $ out_arg $ smoke_arg $ jobs_arg $ cache_dir_arg
-      $ no_cache_arg $ backend_arg $ opt_arg $ no_opt_arg $ passes_arg)
+      const run $ mode_arg $ out_arg $ smoke_arg $ jobs_arg $ no_grid_arg
+      $ backend_arg $ opt_arg $ no_opt_arg $ passes_arg)
 
 (* ---- serve (concurrent simulation service) ---- *)
 

@@ -25,14 +25,39 @@ type experiment = {
 val all : experiment list
 (** In presentation order: T1, F1..F8, T2..T4, T6, T7, A1. T4 (measured
     cycle attribution) runs its simulations under the profiler, outside
-    the memo cache — its [needs] is empty by design. *)
+    the memo cache — its [needs] is empty by design; {!Jobs.prefill}
+    runs those profiled simulations ({!t4_runs}) on its pool alongside
+    the grid whenever its experiments include T4. *)
+
+val t4_runs : (Ninja_arch.Machine.t * Ninja_kernels.Driver.benchmark) list
+(** The profiled simulations behind T4, in table order: the ninja
+    variant of every benchmark on Westmere, then on Knights Ferry. *)
+
+val t4_profile :
+  Ninja_arch.Machine.t -> Ninja_kernels.Driver.benchmark -> Ninja_profile.Profile.t
+(** One of {!t4_runs}: the benchmark's ninja step at its default scale,
+    simulated under the profiler. Pure and domain-safe; it reads no
+    memoized report and leaves {!cache_stats} untouched. *)
 
 val t4_profiles :
   (Ninja_arch.Machine.t * Ninja_profile.Profile.t list) list Lazy.t
-(** The ninja-variant profiles behind T4 (Westmere and Knights Ferry, the
-    whole suite), memoized for the process — also the data source for the
-    report-sync tooling and tests that compare measured bottleneck classes
-    with the timing reports'. *)
+(** The ninja-variant profiles behind T4, grouped by machine, memoized
+    for the process — also the data source for the report-sync tooling
+    and tests that compare measured bottleneck classes with the timing
+    reports'. Forcing it takes the profiles a {!Jobs.prefill} computed
+    on its pool ({!set_t4_profiles}); when nothing was prefilled it
+    profiles {!t4_runs} serially in the calling domain. Force it from
+    one domain only. *)
+
+val t4_pending : unit -> bool
+(** [true] while T4's profiles are neither forced nor prefilled — what
+    {!Jobs.prefill} checks before scheduling {!t4_runs}. *)
+
+val set_t4_profiles : Ninja_profile.Profile.t list -> unit
+(** Hand {!t4_profiles} one profile per element of {!t4_runs}, in that
+    order (as {!Jobs.prefill} does). The first call wins; a call after
+    the lazy was forced has no effect.
+    @raise Invalid_argument on a list of the wrong length. *)
 
 val find : string -> experiment
 (** Lookup by id (case-insensitive). Raises [Not_found]. *)
@@ -43,8 +68,10 @@ val gap : Ninja_arch.Timing.report -> Ninja_arch.Timing.report -> float
 val ladder :
   Ninja_kernels.Driver.benchmark -> scale:int -> Ninja_kernels.Driver.step list
 (** [bench.steps ~scale], memoized per process. Building a ladder runs
-    the compiler pipeline over every variant (~0.5s per benchmark) and
-    is a pure function of its arguments, so all callers share one
+    the compiler pipeline over every variant and generates the
+    benchmark's dataset (on a 2-vCPU x86-64 host, 0.1 s or less per
+    benchmark except TreeSearch's 8.4M-key tree, about 1 s); it is a
+    pure function of its arguments, so all callers share one
     construction. Domain-safe. *)
 
 val run_step_cached :

@@ -43,6 +43,10 @@ type summary = {
   executed : int;  (** simulations actually run (cache misses) *)
   hits : int;  (** jobs already present in the memo cache *)
   store_hits : int;  (** jobs served from the persistent store *)
+  profiled : int;
+      (** T4 profiled runs computed on the same pool (0 or the length of
+          {!Experiments.t4_runs}); not grid jobs, so outside every count
+          above *)
   wall_s : float;  (** whole-prefill wall clock, seconds *)
   per_class : class_stat list;  (** by ladder step, fixed ladder order *)
   sched : Ninja_util.Pool.stats;
@@ -68,8 +72,26 @@ val prefill :
     With [~verbose:true] the summary is also printed to stderr; the
     default is quiet, so library callers keep a clean error stream.
     [sched_trace], if given, writes a Chrome trace_event JSON of the
-    realized schedule (one span per job on its executing domain's track,
-    same dialect as {!Ninja_profile.Chrome}) to that path. *)
+    realized schedule (one span per grid job on its executing domain's
+    track, same dialect as {!Ninja_profile.Chrome}) to that path.
+
+    When [experiments] include T4 and its profiles are still pending
+    ({!Experiments.t4_pending}), the pool also runs T4's profiled
+    simulations ({!Experiments.t4_runs}), interleaved with the grid
+    jobs by expected cost, and hands them to
+    {!Experiments.set_t4_profiles}, so rendering T4 afterwards simulates
+    nothing. They bypass the memo: [total_jobs], [executed] and
+    {!Experiments.cache_stats} count grid jobs only, and a warm grid
+    still executes zero jobs. With [domains = 1] they run serially in the
+    calling domain, like the grid. *)
+
+val profile_t4 :
+  ?domains:int -> unit -> Ninja_profile.Profile.t list
+(** T4's profiled runs computed afresh on [domains] workers (default
+    {!Ninja_util.Pool.default_domains}) by the same task runner
+    {!prefill} uses, one profile per element of {!Experiments.t4_runs}
+    in that order. Neither reads nor fills the memo behind
+    {!Experiments.t4_profiles}; for comparing pool widths. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 (** Multi-line, human-oriented; contains wall-clock times, so callers keep

@@ -295,17 +295,20 @@ let run ?domains ?(repeats = 2) ?(opt = Ninja_vm.Optimize.default)
   }
 
 (* Cold-vs-warm persistent-store benchmark: run the experiment grid twice
-   against [store] — once with an empty memo (cold: simulates and writes
-   entries) and once more with the memo dropped again (warm: every job
-   must come back from disk). The in-process memo and any previously
-   installed store are saved and restored, so this is safe to run from
-   the harness without perturbing later work. *)
-let run_grid ?domains ?experiments ~store () =
+   against a throwaway store — once with an empty memo (cold: simulates
+   and writes entries) and once more with the memo dropped again (warm:
+   every job must come back from disk). A store of its own makes cold
+   mean cold whatever the user's store holds. The in-process memo and
+   any previously installed store are saved and restored, so this is
+   safe to run from the harness without perturbing later work. *)
+let run_grid ?domains ?experiments () =
   let saved_store = Experiments.store () in
+  let store = Store.scratch () in
   Fun.protect
     ~finally:(fun () ->
       Experiments.set_store saved_store;
-      Experiments.reset_cache ())
+      Experiments.reset_cache ();
+      Store.destroy store)
     (fun () ->
       Experiments.set_store (Some store);
       Experiments.reset_cache ();
@@ -324,6 +327,16 @@ let run_grid ?domains ?experiments ~store () =
         g_warm_store_hits = warm.Jobs.store_hits;
         g_warm_speedup = Stats.ratio cold.Jobs.wall_s warm.Jobs.wall_s;
       })
+
+(* Two domains may race to simulate one key (a tuning session's baseline
+   rung and the grid job itself) and both count, so cold may execute
+   more than [g_jobs] but never fewer. *)
+let check_grid g =
+  if g.g_cold_executed < g.g_jobs then
+    failwith
+      (Fmt.str "cold grid run simulated %d of %d jobs" g.g_cold_executed g.g_jobs);
+  if g.g_warm_executed <> 0 then
+    failwith (Fmt.str "warm grid rerun simulated %d jobs; store failed" g.g_warm_executed)
 
 let num_i i = Json.Num (float_of_int i)
 

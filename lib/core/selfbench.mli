@@ -64,7 +64,9 @@ type grid_result = {
   g_jobs : int;  (** grid size after dedup *)
   g_cold_wall_s : float;
   g_cold_executed : int;  (** simulations run cold (= [g_jobs] on a fresh store) *)
-  g_cold_store_hits : int;  (** nonzero when the store was already partly warm *)
+  g_cold_store_hits : int;
+      (** jobs the cold pass found on disk: 0 on {!run_grid}'s fresh
+          store, barring two domains racing for one key *)
   g_cold_steals : int;
   g_warm_wall_s : float;
   g_warm_executed : int;  (** must be 0: every job served from disk *)
@@ -122,15 +124,22 @@ val run :
 val run_grid :
   ?domains:int ->
   ?experiments:Experiments.experiment list ->
-  store:Store.t ->
   unit ->
   grid_result
-(** Time the experiment grid cold then warm against [store]: install it,
-    drop the in-process memo, {!Jobs.prefill} (cold — simulates and
-    writes entries), drop the memo again, prefill once more (warm —
-    every job must load from disk, zero simulations). The previously
+(** Time the experiment grid cold then warm against a throwaway
+    {!Store.scratch} store of its own, destroyed on exit: install it,
+    drop the in-process memo, {!Jobs.prefill} (cold — simulates every
+    job and writes its entry), drop the memo again, prefill once more
+    (warm — every job must load from disk, zero simulations). Cold is
+    therefore cold whatever the user's store holds. The previously
     installed store and the memo cache are restored/reset on exit, even
     on exceptions. *)
+
+val check_grid : grid_result -> unit
+(** Fail unless the cold pass simulated at least [g_jobs] jobs (two
+    domains may both simulate a key they race for) and the warm pass
+    simulated none.
+    @raise Failure naming the violated count. *)
 
 val to_json : ?grid:grid_result -> result -> Ninja_report.Json.t
 (** The JSON report; [grid], when given, is embedded as the ["grid"]

@@ -63,7 +63,7 @@ kernel merge_pass(a : float[], b : float[], n : int, width : int) {
 
 let reference input =
   let out = Array.copy input in
-  Array.sort Float.compare out;
+  Ninja_workloads.Gen.sort_floats out;
   out
 
 (* ------------------------------------------------------------------ *)

@@ -12,8 +12,19 @@ val ints : seed:int -> bound:int -> int -> int array
 val permutation : seed:int -> int -> int array
 (** A uniform random permutation of [0..n-1]. *)
 
+val sort_floats : float array -> unit
+(** Sort in place into ascending {!Float.compare} order without
+    allocating: a monomorphic introsort (median-of-three quicksort,
+    insertion sort below 16 elements, heapsort past depth 2·log2 n), so
+    no element is boxed. Not stable, and it makes no promise about the
+    relative order of [-0.] and [0.], which {!Float.compare} treats as
+    equal; NaNs, if any, sort first, as there. The result is equal,
+    element for element under {!Float.compare}, to
+    [Array.sort Float.compare]. *)
+
 val sorted_floats : seed:int -> ?lo:float -> ?hi:float -> int -> float array
-(** Sorted uniform floats — e.g. tree-key construction. *)
+(** Sorted uniform floats ({!floats} then {!sort_floats}) — e.g.
+    tree-key construction. *)
 
 val interleave2 : float array -> float array -> float array
 (** [interleave2 a b] is the AoS layout [a0; b0; a1; b1; ...]. The two

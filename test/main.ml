@@ -1,6 +1,7 @@
 let () =
   Alcotest.run "ninja"
     [ Test_util.suite;
+      Test_workloads.suite;
       Test_vm.suite;
       Test_fastpath.suite;
       Test_optimize.suite;

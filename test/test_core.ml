@@ -184,6 +184,40 @@ let test_differential_j1_vs_j4 () =
      one would print the full diff *)
   if out1 <> out4 then Alcotest.(check string) "diff" out1 out4
 
+(* T4's profiled runs on 1 and on 4 domains, through the task runner
+   Jobs.prefill uses. The process-wide lazy behind T4 is computed at most
+   once, so this goes through [Jobs.profile_t4], which neither reads nor
+   fills it. Profiles hold the physically shared machine records of
+   [E.t4_runs], so [compare] never reaches their cost functions. *)
+let test_t4_profiles_j1_vs_j4 () =
+  let _, misses0 = E.cache_stats () in
+  let p1 = Jobs.profile_t4 ~domains:1 () in
+  let p4 = Jobs.profile_t4 ~domains:4 () in
+  let _, misses1 = E.cache_stats () in
+  Alcotest.(check int) "one profile per T4 run" (List.length E.t4_runs) (List.length p1);
+  Alcotest.(check bool) "-j 4 profiles equal -j 1 profiles" true (compare p1 p4 = 0);
+  let render ps =
+    Fmt.str "%a" Ninja_report.Table.render
+      (Ninja_profile.Profile.summary_table ~title:"T4" ps)
+  in
+  Alcotest.(check string) "tables byte-identical" (render p1) (render p4);
+  Alcotest.(check int) "profiled runs execute no grid job" 0 (misses1 - misses0);
+  (* a prefill of T4 alone has no grid jobs, and profiles on its pool
+     only while nothing has forced T4 yet (earlier tests may have) *)
+  let pending = E.t4_pending () in
+  let s = Jobs.prefill ~domains:2 ~experiments:[ E.find "t4" ] () in
+  Alcotest.(check (pair int int)) "T4 alone: no grid jobs, none executed" (0, 0)
+    (s.total_jobs, s.executed);
+  Alcotest.(check int) "profiled on the pool iff pending"
+    (if pending then List.length E.t4_runs else 0)
+    s.profiled;
+  Alcotest.(check bool) "T4 no longer pending" false (E.t4_pending ());
+  Alcotest.(check string) "memoized T4 renders the same table"
+    (render (List.concat_map snd (Lazy.force E.t4_profiles)))
+    (render p4);
+  Alcotest.(check int) "the full grid stays 250 jobs" 250
+    (List.length (Jobs.all_jobs ()))
+
 (* ---- the experiment golden ----
    Every experiment table, rendered exactly as
    tools/gen_experiments_golden.ml renders it, byte-compared against the
@@ -295,6 +329,7 @@ let suite =
       Alcotest.test_case "job grid subset" `Quick test_grid_subset;
       Alcotest.test_case "job grid covers experiments" `Quick test_grid_covers_every_experiment;
       Alcotest.test_case "differential -j1 vs -j4" `Slow test_differential_j1_vs_j4;
+      Alcotest.test_case "T4 profiles -j1 vs -j4" `Slow test_t4_profiles_j1_vs_j4;
       Alcotest.test_case "golden experiment tables" `Slow test_golden_experiments;
       Alcotest.test_case "criterion F1 band" `Slow test_criterion_f1_band;
       Alcotest.test_case "criterion F4 bridged" `Slow test_criterion_f4_bridged;

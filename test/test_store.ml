@@ -435,6 +435,21 @@ let test_store_differential_j1_j4 () =
   Alcotest.(check (list string)) "-j4 byte-identical to -j1 (store on)" (run 1)
     (run 4)
 
+(* The self-benchmark's grid times cold against a store of its own: a
+   populated store installed by the caller must neither serve its cold
+   pass nor be lost. *)
+let test_run_grid_ignores_installed_store () =
+  let f1 = [ E.find "f1" ] in
+  with_grid_store (fun st ->
+      ignore (Jobs.prefill ~domains:2 ~experiments:f1 () : Jobs.summary);
+      (* one domain: no two domains can race to simulate one key *)
+      let g = Ninja_core.Selfbench.run_grid ~domains:1 ~experiments:f1 () in
+      Alcotest.(check int) "cold pass simulates the whole F1 grid" g.g_jobs
+        g.g_cold_executed;
+      Alcotest.(check int) "warm pass simulates nothing" 0 g.g_warm_executed;
+      Alcotest.(check bool) "the caller's store is reinstalled" true
+        (match E.store () with Some s -> s == st | None -> false))
+
 let suite =
   ( "store",
     [
@@ -453,4 +468,6 @@ let suite =
       Alcotest.test_case "step costs flush" `Quick test_step_costs_flush;
       Alcotest.test_case "cold then warm prefill" `Quick test_cold_then_warm_prefill;
       Alcotest.test_case "store differential -j1/-j4" `Quick test_store_differential_j1_j4;
+      Alcotest.test_case "run_grid ignores installed store" `Slow
+        test_run_grid_ignores_installed_store;
     ] )
