@@ -10,22 +10,16 @@
 
    `main.exe simulate [--smoke] [--out FILE] [-j N] [--no-cache]`
    instead runs the simulator self-benchmark
-   (Ninja_core.Selfbench): simulated-ops/s of the fast path, of the
-   optimizer pass pipeline and of the closure-compiled backend against
-   the reference baseline over the benchmark suite on both machines,
-   plus a cold-then-warm timing of the experiment grid against a
-   throwaway result store of its own (so cold simulates every job;
-   `--no-cache` skips this part), written as a JSON report
-   (BENCH_simulator.json by default). `--smoke` shrinks the throughput grid to one job and the store grid
-   to experiment F1, then asserts the warm pass executed zero
-   simulations at least 5x faster than cold — the @bench-smoke CI gate,
-   which also fails when the compiled geomean falls below the optimized
-   one.
-
-   `--backend tree|decoded|optimized|compiled` selects the process-wide
-   execution backend for the experiment tables and the Bechamel loops
-   (the self-benchmark always times all four configurations
-   explicitly). *)
+   (Ninja_core.Selfbench): simulated-ops/s of the closure-compiled
+   backend against the reference baseline over the benchmark suite on
+   both machines, plus a cold-then-warm timing of the experiment grid
+   against a throwaway result store of its own (so cold simulates every
+   job; `--no-cache` skips this part), written as a JSON report
+   (BENCH_simulator.json by default). `--smoke` shrinks the throughput
+   grid to one job and the store grid to experiment F1, then asserts
+   the warm pass executed zero simulations at least 5x faster than
+   cold — the @bench-smoke CI gate, which also fails when the compiled
+   geomean falls below the baseline one. *)
 
 module E = Ninja_core.Experiments
 module Jobs = Ninja_core.Jobs
@@ -56,22 +50,6 @@ let flag_value name =
     | [] -> None
   in
   go (Array.to_list Sys.argv)
-
-(* --backend NAME: the process-wide execution backend (the simulated
-   numbers are identical for every choice; only harness wall-clock
-   moves). *)
-let install_backend () =
-  match flag_value "--backend" with
-  | None -> ()
-  | Some name -> (
-      match Ninja_vm.Interp.strategy_of_name name with
-      | Some s -> Ninja_vm.Interp.set_default_strategy s
-      | None ->
-          Fmt.epr
-            "main.exe: error bad_backend: --backend: unknown backend %S (try: \
-             tree, decoded, optimized, compiled)@."
-            name;
-          exit 1)
 
 (* --cache-dir DIR / --no-cache: the persistent result store. On by
    default (at Store.default_dir) so a second harness run reloads every
@@ -157,7 +135,7 @@ let run_bechamel () =
 
 (* ---- the simulator self-benchmark (`main.exe simulate`) ---- *)
 
-(* [slack] relaxes the backend-ordering gates: the 1-job smoke run's
+(* [slack] relaxes the backend-ordering gate: the 1-job smoke run's
    timings are noisy under parallel `dune runtest` rule execution, so it
    tolerates a 10% inversion; the full-grid run stays strict. *)
 let validate_report ?(slack = 0.) ~expect_grid path =
@@ -170,31 +148,18 @@ let validate_report ?(slack = 0.) ~expect_grid path =
   let num k = Option.bind (Json.member k j) Json.to_float in
   if str "schema" <> Some Selfbench.schema_version then
     failwith (path ^ ": bad or missing schema field");
-  (match num "geomean_ops_per_s" with
-  | Some x when x > 0. -> ()
-  | _ -> failwith (path ^ ": geomean_ops_per_s missing or not positive"));
-  (* v3: the optimized pipeline must be present and at least as fast as
-     the tree-walking baseline — the @bench-smoke regression gate for
-     the optimizer *)
-  (match (num "opt_geomean_ops_per_s", num "baseline_geomean_ops_per_s") with
-  | Some o, Some b when o > 0. && b > 0. ->
-      if o < b *. (1. -. slack) then
+  (* the compiled backend must be present and at least as fast as the
+     tree-walking baseline — the @bench-smoke regression gate for the
+     closure-threaded executor *)
+  (match (num "compiled_geomean_ops_per_s", num "baseline_geomean_ops_per_s") with
+  | Some c, Some b when c > 0. && b > 0. ->
+      if c < b *. (1. -. slack) then
         failwith
-          (Fmt.str "%s: optimized geomean %.0f ops/s below baseline %.0f" path
-             o b)
+          (Fmt.str "%s: compiled geomean %.0f ops/s below baseline %.0f" path
+             c b)
   | _ ->
       failwith
-        (path ^ ": opt/baseline geomean_ops_per_s missing or not positive"));
-  (* v4: the compiled backend must be present and at least as fast as the
-     optimized pipeline it compiles — the regression gate for the
-     closure-threaded executor *)
-  (match (num "compiled_geomean_ops_per_s", num "opt_geomean_ops_per_s") with
-  | Some c, Some o when c > 0. && o > 0. ->
-      if c < o *. (1. -. slack) then
-        failwith
-          (Fmt.str "%s: compiled geomean %.0f ops/s below optimized %.0f" path
-             c o)
-  | _ -> failwith (path ^ ": compiled_geomean_ops_per_s missing or not positive"));
+        (path ^ ": compiled/baseline geomean_ops_per_s missing or not positive"));
   (match Option.bind (Json.member "benchmarks" j) Json.to_list with
   | Some (_ :: _) -> ()
   | _ -> failwith (path ^ ": empty benchmarks list"));
@@ -228,12 +193,9 @@ let run_simulate () =
          estimator needs the extra samples to shake it off *)
       Selfbench.run ?domains ~repeats:4
         ~progress:(fun j ->
-          Fmt.epr
-            "  %-16s %-14s %-14s %8.1fs fast %8.1fs opt %8.1fs compiled \
-             %8.1fs baseline@."
+          Fmt.epr "  %-16s %-14s %-14s %8.1fs compiled %8.1fs baseline@."
             j.Selfbench.j_bench j.Selfbench.j_machine j.Selfbench.j_step
-            j.Selfbench.j_fast_s j.Selfbench.j_opt_s j.Selfbench.j_compiled_s
-            j.Selfbench.j_baseline_s)
+            j.Selfbench.j_compiled_s j.Selfbench.j_baseline_s)
         ()
   in
   (* cold-then-warm timing of the experiment grid against a throwaway
@@ -276,14 +238,10 @@ let run_simulate () =
   validate_report
     ~slack:(if smoke then 0.1 else 0.)
     ~expect_grid:(grid <> None) out;
-  Fmt.pr
-    "wrote %s (%d jobs, geomean %.0f ops/s, %.2fx over baseline; optimized \
-     %.2fx, compiled %.2fx)@."
-    out (List.length r.jobs) r.geomean_ops_per_s r.speedup r.opt_speedup
-    r.compiled_speedup
+  Fmt.pr "wrote %s (%d jobs, compiled geomean %.0f ops/s, %.2fx over baseline)@."
+    out (List.length r.jobs) r.compiled_geomean_ops_per_s r.compiled_speedup
 
 let () =
-  install_backend ();
   if Array.exists (( = ) "simulate") Sys.argv then run_simulate ()
   else begin
     print_experiments ();

@@ -14,95 +14,6 @@ let machine_arg =
   let doc = "Machine preset (westmere, mic, kentsfield, nehalem, future1..3)." in
   Arg.(value & opt string "westmere" & info [ "m"; "machine" ] ~doc)
 
-(* ---- optimizer pass selection (ladder, bench) ---- *)
-
-(* The pass pipeline changes no reported number (the simulated machine
-   is oblivious to it), so the flags only pick which host executor runs:
-   plain decoded arrays or decoded-then-optimized ones. *)
-
-let opt_arg =
-  let doc =
-    "Run the optimizer pass pipeline over the decoded op arrays before \
-     interpretation (the default). Reported numbers are identical either \
-     way; only the simulator's own speed changes."
-  in
-  Arg.(value & flag & info [ "opt" ] ~doc)
-
-let no_opt_arg =
-  let doc = "Interpret the plain decoded arrays; disables the optimizer." in
-  Arg.(value & flag & info [ "no-opt" ] ~doc)
-
-let passes_arg =
-  let doc =
-    "Comma-separated optimizer pass list, applied in the given order \
-     (fold, moves, imm, dce, peephole; $(b,all) and $(b,none) are \
-     accepted). Overrides $(b,--opt)/$(b,--no-opt)."
-  in
-  Arg.(value & opt (some string) None & info [ "passes" ] ~doc ~docv:"LIST")
-
-(* Flag errors are hard failures with a stable, greppable shape
-   (`ninja_cli: error <code>: ...`), pinned byte-for-byte by the
-   cram-style test in bin/dune. *)
-let flag_error code fmt =
-  Fmt.kstr
-    (fun msg ->
-      Fmt.epr "ninja_cli: error %s: %s@." code msg;
-      exit 1)
-    fmt
-
-let opt_config_of_flags ~opt:_ ~no_opt ~passes =
-  match passes with
-  | Some spec -> (
-      match Ninja_vm.Optimize.parse_passes spec with
-      | Ok c -> Some c
-      | Error msg -> flag_error "bad_pass_list" "--passes: %s" msg)
-  | None -> if no_opt then None else Some Ninja_vm.Optimize.default
-
-let backend_arg =
-  let doc =
-    "Host execution backend for simulations: $(b,tree) (reference \
-     walker), $(b,decoded) (indexed dispatch), $(b,optimized) (decoded + \
-     optimizer passes), or $(b,compiled) (closure-threaded code; the \
-     default). Reported numbers are identical for every backend; only \
-     the simulator's own speed changes."
-  in
-  Arg.(value & opt (some string) None & info [ "backend" ] ~doc ~docv:"NAME")
-
-(* --backend names the executor; --passes/--no-opt pick the pass list the
-   optimizing backends run. Without --backend, --no-opt falls back to the
-   plain decoded executor and everything else gets the compiled default. *)
-let strategy_of_flags ?backend ~opt ~no_opt ~passes () =
-  let config () =
-    Option.value
-      (opt_config_of_flags ~opt ~no_opt ~passes)
-      ~default:Ninja_vm.Optimize.none
-  in
-  match backend with
-  | Some name -> (
-      match Ninja_vm.Interp.strategy_of_name name with
-      | Some Ninja_vm.Interp.Tree -> Ninja_vm.Interp.Tree
-      | Some Ninja_vm.Interp.Decoded -> Ninja_vm.Interp.Decoded
-      | Some (Ninja_vm.Interp.Optimized _) ->
-          Ninja_vm.Interp.Optimized (config ())
-      | Some (Ninja_vm.Interp.Compiled _) ->
-          Ninja_vm.Interp.Compiled (config ())
-      | None ->
-          flag_error "bad_backend"
-            "--backend: unknown backend %S (try: tree, decoded, optimized, \
-             compiled)"
-            name)
-  | None -> (
-      match opt_config_of_flags ~opt ~no_opt ~passes with
-      | Some c -> Ninja_vm.Interp.Compiled c
-      | None -> Ninja_vm.Interp.Decoded)
-
-(* Commands whose simulations flow through Timing.simulate's default
-   strategy (experiments, bench, serve) install the chosen backend
-   process-wide instead of threading it through every call. *)
-let install_backend ?backend ?(opt = false) ?(no_opt = false) ?passes () =
-  Ninja_vm.Interp.set_default_strategy
-    (strategy_of_flags ?backend ~opt ~no_opt ~passes ())
-
 (* ---- experiments ---- *)
 
 let jobs_arg =
@@ -175,8 +86,7 @@ let experiments_cmd =
     in
     Arg.(value & opt (some string) None & info [ "sched-trace" ] ~doc ~docv:"FILE")
   in
-  let run csv jobs cache_dir no_cache sched_trace backend ids =
-    install_backend ?backend ();
+  let run csv jobs cache_dir no_cache sched_trace ids =
     let experiments =
       if ids = [] then Ninja_core.Experiments.all
       else
@@ -205,7 +115,7 @@ let experiments_cmd =
   Cmd.v (Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures")
     Term.(
       const run $ csv $ jobs_arg $ cache_dir_arg $ no_cache_arg $ sched_trace
-      $ backend_arg $ ids)
+      $ ids)
 
 (* ---- ladder ---- *)
 
@@ -222,16 +132,10 @@ let ladder_cmd =
     let doc = "Also run each variant functionally and check its output." in
     Arg.(value & flag & info [ "validate" ] ~doc)
   in
-  let opt_report_arg =
-    let doc = "Print each variant's per-pass optimizer rewrite report." in
-    Arg.(value & flag & info [ "opt-report" ] ~doc)
-  in
-  let run machine bench scale validate backend opt no_opt passes opt_report =
+  let run machine bench scale validate =
     let machine = machine_of_name machine in
     let b = Ninja_kernels.Registry.find bench in
     let scale = Option.value scale ~default:b.default_scale in
-    let strategy = strategy_of_flags ?backend ~opt ~no_opt ~passes () in
-    Ninja_vm.Interp.set_default_strategy strategy;
     Fmt.pr "%s at scale %d on %a@.@." b.b_name scale Ninja_arch.Machine.pp machine;
     let steps = b.steps ~scale in
     let baseline = ref None in
@@ -242,29 +146,18 @@ let ladder_cmd =
           | Ok () -> Fmt.pr "[check ok] "
           | Error e -> Fmt.pr "[CHECK FAILED: %s] " e
         end;
-        let r = Ninja_kernels.Driver.run_step ~strategy ~machine step in
+        let r = Ninja_kernels.Driver.run_step ~machine step in
         (match !baseline with None -> baseline := Some r | Some _ -> ());
         Fmt.pr "%-14s %10.3f Mcycles  %7.2fx  (%s-bound)@." step.step_name
           (r.cycles /. 1e6)
           (Ninja_arch.Timing.speedup ~baseline:(Option.get !baseline) r)
-          (Ninja_arch.Timing.bound_name r.bound);
-        if opt_report then begin
-          let config =
-            match strategy with
-            | Ninja_vm.Interp.Optimized c | Ninja_vm.Interp.Compiled c -> c
-            | Tree | Decoded -> Ninja_vm.Optimize.default
-          in
-          let d = Ninja_vm.Decode.decode (step.make ~machine) in
-          let _, rep = Ninja_vm.Optimize.run_report ~config d in
-          Fmt.pr "%a@." Ninja_vm.Optimize.pp_report rep
-        end)
+          (Ninja_arch.Timing.bound_name r.bound))
       steps
   in
   Cmd.v
     (Cmd.info "ladder" ~doc:"Run one benchmark's naive-to-ninja performance ladder")
     Term.(
-      const run $ machine_arg $ bench_arg $ scale_arg $ validate_arg
-      $ backend_arg $ opt_arg $ no_opt_arg $ passes_arg $ opt_report_arg)
+      const run $ machine_arg $ bench_arg $ scale_arg $ validate_arg)
 
 (* ---- list ---- *)
 
@@ -626,34 +519,23 @@ let bench_cmd =
     let doc = "Skip the cold/warm timing of the experiment grid." in
     Arg.(value & flag & info [ "no-cache" ] ~doc)
   in
-  let run mode out smoke jobs no_cache backend opt no_opt passes =
+  let run mode out smoke jobs no_cache =
     if mode <> "simulate" then begin
       Fmt.epr "unknown bench mode %S (try: simulate)@." mode;
       exit 1
     end;
-    install_backend ?backend ~opt ~no_opt ?passes ();
-    (* the self-benchmark always times all four configurations; the
-       flags pick which pass list the *optimized* and *compiled* ones
-       run (--no-opt degenerates both to the plain decoded pass list) *)
-    let opt =
-      Option.value
-        (opt_config_of_flags ~opt ~no_opt ~passes)
-        ~default:Ninja_vm.Optimize.none
-    in
     let r =
       if smoke then
-        S.run ?domains:jobs ~opt
+        S.run ?domains:jobs
           ~benchmarks:[ Ninja_kernels.Registry.find "BlackScholes" ]
           ~machines:[ Ninja_arch.Machine.westmere ]
           ~steps:[ "ninja" ] ()
       else
-        S.run ?domains:jobs ~opt
+        S.run ?domains:jobs
           ~progress:(fun j ->
-            Fmt.epr
-              "  %-16s %-14s %-14s %8.1fs fast %8.1fs opt %8.1fs compiled \
-               %8.1fs baseline@."
-              j.S.j_bench j.S.j_machine j.S.j_step j.S.j_fast_s j.S.j_opt_s
-              j.S.j_compiled_s j.S.j_baseline_s)
+            Fmt.epr "  %-16s %-14s %-14s %8.1fs compiled %8.1fs baseline@."
+              j.S.j_bench j.S.j_machine j.S.j_step j.S.j_compiled_s
+              j.S.j_baseline_s)
           ()
     in
     (* cold/warm experiment-grid timing against a throwaway store of its
@@ -678,12 +560,11 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Benchmark the simulator itself (simulated ops/s, fast path vs \
-          reference baseline; cold vs warm result store) and write a JSON \
+         "Benchmark the simulator itself (simulated ops/s, compiled backend \
+          vs reference baseline; cold vs warm result store) and write a JSON \
           report")
     Term.(
-      const run $ mode_arg $ out_arg $ smoke_arg $ jobs_arg $ no_grid_arg
-      $ backend_arg $ opt_arg $ no_opt_arg $ passes_arg)
+      const run $ mode_arg $ out_arg $ smoke_arg $ jobs_arg $ no_grid_arg)
 
 (* ---- serve (concurrent simulation service) ---- *)
 
@@ -710,12 +591,11 @@ let serve_cmd =
       & opt int Ninja_serve.Service.default_max_inflight
       & info [ "max-inflight" ] ~doc ~docv:"K")
   in
-  let run port stdio max_inflight jobs cache_dir no_cache backend =
+  let run port stdio max_inflight jobs cache_dir no_cache =
     if stdio && port <> None then begin
       Fmt.epr "--port and --stdio are mutually exclusive@.";
       exit 1
     end;
-    install_backend ?backend ();
     ignore (install_store ~cache_dir ~no_cache);
     let domains =
       match jobs with
@@ -740,7 +620,7 @@ let serve_cmd =
           backpressure, and a graceful drain on shutdown")
     Term.(
       const run $ port_arg $ stdio_arg $ max_inflight_arg $ jobs_arg
-      $ cache_dir_arg $ no_cache_arg $ backend_arg)
+      $ cache_dir_arg $ no_cache_arg)
 
 let main_cmd =
   let info =

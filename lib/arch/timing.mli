@@ -41,9 +41,8 @@ val simulate :
     not exceed the machine's cores) and report modeled time. The memory is
     mutated exactly as by {!Ninja_vm.Interp.run}.
 
-    [strategy] selects the interpreter dispatch (default: the
-    process-wide {!Ninja_vm.Interp.default_strategy}, normally the
-    compiled backend) and
+    [strategy] selects the execution backend (default:
+    {!Ninja_vm.Interp.default_strategy}, the compiled backend) and
     [fast_path] the cache-simulation fast-hit path (default on); both are
     pure performance knobs with bit-identical reports, exposed so the
     self-benchmark and differential tests can run the reference paths.

@@ -99,6 +99,22 @@ let algorithmic = "+algorithmic"
 let tuned = "tuned"
 let ninja = "ninja"
 
+(* Publish a freshly computed report under [key], first insert wins. Two
+   domains can race to compute one key (a tuning session's baseline rung
+   and the grid job itself): the loser returns the winner's identical
+   value and counts a memo hit, so [count] — simulations executed or
+   store hits — is bumped once per key. *)
+let publish key r ~count =
+  locked (fun () ->
+      match Hashtbl.find_opt cache key with
+      | Some winner ->
+          incr cache_hits;
+          winner
+      | None ->
+          incr count;
+          Hashtbl.replace cache key r;
+          r)
+
 let rec run_step_cached ~machine (bench : Driver.benchmark) step_name =
   let key = (machine.Machine.name, bench.b_name, step_name) in
   let cached =
@@ -118,12 +134,8 @@ let rec run_step_cached ~machine (bench : Driver.benchmark) step_name =
          the store served every evaluation, as a single store hit, so a
          warm grid rerun still reports zero simulations executed. *)
       let tr = tuned_result ~machine bench in
-      let r = tr.Tuner.t_report in
-      locked (fun () ->
-          if tr.Tuner.t_simulated = 0 then incr store_hits
-          else incr cache_misses;
-          Hashtbl.replace cache key r);
-      r
+      publish key tr.Tuner.t_report
+        ~count:(if tr.Tuner.t_simulated = 0 then store_hits else cache_misses)
   | None -> (
       let step = find_step bench step_name in
       (* Probe the persistent store below the memo: a verified disk entry
@@ -134,7 +146,7 @@ let rec run_step_cached ~machine (bench : Driver.benchmark) step_name =
         | None -> None
         | Some st ->
             let prog = step.Driver.make ~machine in
-            (* the simulation runs through the process-default backend
+            (* the simulation runs through the default backend
                (Driver.run_step's resolved strategy), so its tag is part
                of the key — a buggy backend can only poison its own key
                space *)
@@ -145,22 +157,19 @@ let rec run_step_cached ~machine (bench : Driver.benchmark) step_name =
             (st, skey, Store.load st ~key:skey ~machine) |> Option.some
       in
       match from_store with
-      | Some (_, _, Some r) ->
-          locked (fun () ->
-              incr store_hits;
-              Hashtbl.replace cache key r);
-          r
+      | Some (_, _, Some r) -> publish key r ~count:store_hits
       | (None | Some (_, _, None)) as probed ->
           let t0 = Unix.gettimeofday () in
           let r = Driver.run_step ~machine step in
           let cost_s = Unix.gettimeofday () -. t0 in
+          (* publish before saving: a racing domain can then only find
+             this entry on disk after it is in the memo, so it counts a
+             memo hit, never a store hit, against a fresh store *)
+          let r = publish key r ~count:cache_misses in
           (match probed with
           | Some (st, skey, None) ->
               Store.save st ~key:skey ~machine ~step_name ~cost_s r
           | _ -> ());
-          locked (fun () ->
-              incr cache_misses;
-              Hashtbl.replace cache key r);
           r)
 
 and tuned_result ?(domains = 1) ~machine (bench : Driver.benchmark) =

@@ -101,8 +101,10 @@ val tuned_result :
 
 val cache_stats : unit -> int * int
 (** [(hits, misses)] since start / the last {!reset_cache}. A miss is a
-    simulation actually executed; a hit is a memoized read. Jobs served
-    by the persistent store count as neither (see {!store_hit_count}). *)
+    simulation executed for a key not yet in the memo; a hit is a
+    memoized read, or a racing domain's duplicate computation of a key
+    another domain published first. Jobs served by the persistent store
+    count as neither (see {!store_hit_count}). *)
 
 val store_hit_count : unit -> int
 (** Jobs served by the persistent {!Store} (no simulation, no memo hit)

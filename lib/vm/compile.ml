@@ -1,11 +1,11 @@
 (* Closure-compiled execution backend: threaded code for decoded op arrays.
 
-   [Interp]'s [Decoded]/[Optimized] strategies still pay, per dynamic op, a
-   [match] over the [Decode.dop] tag, a second [match] over [Isa.instr] for
-   straight-line ops, the register-wrapper field reads, and the full
-   count/instructions/fuel bookkeeping. This module removes all of that by
-   compiling each phase's op array once per run into chained OCaml
-   closures (classic threaded code):
+   A dispatch-loop interpreter over {!Decode}'s arrays would pay, per
+   dynamic op, a [match] over the [Decode.dop] tag, a second [match] over
+   [Isa.instr] for straight-line ops, the register-wrapper field reads,
+   and the full count/instructions/fuel bookkeeping. This module removes
+   all of that by compiling each phase's op array once per run into
+   chained OCaml closures (classic threaded code):
 
    - every straight-line op becomes a pre-resolved action closure: operand
      indices, the operator, the mask slot and the memory hook are resolved
@@ -30,22 +30,25 @@
 
    Observable equivalence. The compiled program produces bit-identical
    registers, memory, {!Counts} rows, totals, event streams, traces and
-   traps to [Interp]'s flat executor. Bookkeeping batching follows the
-   fuel waiver documented at [Interp]'s [Dphantom]/[Dfor] arms: a batched
-   fuel decrement may trap up to n-1 ops early only when the observable
-   state at the trap is identical (counts die with the exception). To keep
-   trap *messages* and event prefixes exact, a batch segment never extends
+   traps to [Interp]'s tree walker, with one documented waiver on *when*
+   a fuel trap fires. Batched bookkeeping charges a run of ops at once:
+   a loop edge's Salu + Branch pair is one step, and a straight-line
+   segment of n ops is one step. The batched fuel decrement may therefore
+   trap up to n-1 ops early, which is only allowed because the observable
+   state at the trap is identical — the counts die with the exception,
+   and no memory write or event sits inside the batch. To keep trap
+   *messages* and event prefixes exact, a batch segment never extends
    past an op that can trap or emit memory events — such ops terminate
    their segment, so "fuel exhausted" still wins exactly when the
    cumulative cost exceeds the fuel, and no event can precede a fuel trap
    that the reference would have refused. When a trace sink is attached,
-   compilation falls back to per-op bookkeeping closures so the
-   [Trace.Op] stream keeps its exact per-op order (same rule as the
-   interpreter's traced [Dphantom] arm); execution is still threaded.
+   compilation falls back to per-op bookkeeping closures, so the
+   [Trace.Op] prefix at a fuel trap is exact and the stream keeps its
+   per-op order; execution is still threaded.
 
-   Equivalence is property-tested four ways (Tree vs Decoded vs Optimized
-   vs Compiled) in test/test_compile.ml, including seeded miscompilation
-   mutants that the differential must refute. *)
+   Equivalence is property-tested Tree vs Compiled in
+   test/test_compile.ml, including seeded miscompilation mutants that the
+   differential must refute. *)
 
 type tctx = {
   si : int array;
@@ -86,15 +89,12 @@ type ctx = {
    built with exactly [width] slots, so skipping the bounds check is
    sound. Register-file and memory-buffer indexing stays checked: the
    compiler-mutation differentials execute deliberately broken op
-   arrays, which must fault exactly like the interpreter does. *)
+   arrays, which must fault exactly like the tree walker does. *)
 
-(* Pre-resolved count-row indices (same constants as Interp's). *)
+(* Pre-resolved count-row indices for the loop-edge and branch
+   bookkeeping. *)
 let salu_idx = Isa.op_class_index Isa.Salu
 let branch_idx = Isa.op_class_index Isa.Branch
-let sfp_idx = Isa.op_class_index Isa.Sfp
-let vfp_idx = Isa.op_class_index Isa.Vfp
-let sload_idx = Isa.op_class_index Isa.Sload
-let sstore_idx = Isa.op_class_index Isa.Sstore
 
 (* Ops whose action can raise a trap (division, lane checks, any memory
    access) or emit observable memory events. They terminate a bookkeeping
@@ -136,8 +136,8 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           f (Trace.Lanes { thread = t.thread; active; width })
   in
   (* Semantic effect of one straight-line instruction, with operands,
-     operators and masks resolved now. Arm for arm the bodies are
-     Interp.run_flat's [exec_instr]. *)
+     operators and masks resolved now; the semantics are the tree
+     walker's, arm for arm. *)
   let action_of_instr (instr : Isa.instr) : tctx -> unit =
     match instr with
     | Iconst (Si d, n) -> fun t -> t.si.(d) <- n
@@ -876,73 +876,15 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
             end
           done
   in
-  (* (class, row index, count) bookkeeping triples, optional action and
-     segment-barrier flag of one straight-line op. Denter/Dexit are
-     handled by the block builders (they cost nothing and only matter
-     when traced). *)
+  (* Op class, count-row index, action and segment-barrier flag of one
+     straight-line op. Denter/Dexit are handled by the block builders
+     (they cost nothing and only matter when traced). *)
   let sop_of (op : Decode.dop) =
     match op with
     | Decode.Dinstr { i; cls; cls_idx } ->
-        ([ (cls, cls_idx, 1) ], Some (action_of_instr i), instr_barrier i)
-    | Decode.Daddi { d; a; imm } ->
-        ( [ (Isa.Salu, salu_idx, 1) ],
-          Some (fun t -> t.si.(d) <- t.si.(a) + imm),
-          false )
-    | Decode.Dmuli { d; a; imm } ->
-        ( [ (Isa.Salu, salu_idx, 1) ],
-          Some (fun t -> t.si.(d) <- t.si.(a) * imm),
-          false )
-    | Decode.Dloadf_at { dst; buf; imm; chain } ->
-        ( [ (Isa.Sload, sload_idx, 1) ],
-          Some
-            (fun t ->
-              t.sf.(dst) <- Memory.get_f mem buf imm;
-              t.emit ~nt:false ~buf ~idx:imm ~bytes:4 ~kind:Read ~chain),
-          true )
-    | Decode.Dloadi_at { dst; buf; imm; chain } ->
-        ( [ (Isa.Sload, sload_idx, 1) ],
-          Some
-            (fun t ->
-              t.si.(dst) <- Memory.get_i mem buf imm;
-              t.emit ~nt:false ~buf ~idx:imm ~bytes:4 ~kind:Read ~chain),
-          true )
-    | Decode.Dstoref_at { buf; imm; src } ->
-        ( [ (Isa.Sstore, sstore_idx, 1) ],
-          Some
-            (fun t ->
-              Memory.set_f mem buf imm t.sf.(src);
-              t.emit ~nt:false ~buf ~idx:imm ~bytes:4 ~kind:Write
-                ~chain:false),
-          true )
-    | Decode.Dstorei_at { buf; imm; src } ->
-        ( [ (Isa.Sstore, sstore_idx, 1) ],
-          Some
-            (fun t ->
-              Memory.set_i mem buf imm t.si.(src);
-              t.emit ~nt:false ~buf ~idx:imm ~bytes:4 ~kind:Write
-                ~chain:false),
-          true )
-    | Decode.Dphantom { cls; cls_idx; n } -> ([ (cls, cls_idx, n) ], None, false)
-    | Decode.Dsmuladd { t = tr; a; b; d; x; y } ->
-        ( [ (Isa.Sfp, sfp_idx, 2) ],
-          Some
-            (fun t ->
-              let sf = t.sf in
-              sf.(tr) <- sf.(a) *. sf.(b);
-              sf.(d) <- sf.(x) +. sf.(y)),
-          false )
-    | Decode.Dvmuladd { t = tr; a; b; d; x; y } ->
-        ( [ (Isa.Vfp, vfp_idx, 2) ],
-          Some
-            (fun t ->
-              let vf = t.vf in
-              let dt = vf.(tr) and la = vf.(a) and lb = vf.(b) in
-              for l = 0 to width - 1 do Array.unsafe_set dt l ((Array.unsafe_get la l) *. (Array.unsafe_get lb l)) done;
-              let dd = vf.(d) and lx = vf.(x) and ly = vf.(y) in
-              for l = 0 to width - 1 do Array.unsafe_set dd l ((Array.unsafe_get lx l) +. (Array.unsafe_get ly l)) done),
-          false )
+        (cls, cls_idx, action_of_instr i, instr_barrier i)
     | Decode.Dfor _ | Decode.Dforback _ | Decode.Dwhile _ | Decode.Dif _
-    | Decode.Djmp _ | Decode.Dgoto _ | Decode.Denter _ | Decode.Dexit _ ->
+    | Decode.Djmp _ | Decode.Denter _ | Decode.Dexit _ ->
         assert false
   in
   let charge n =
@@ -975,7 +917,7 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
       | Dif { else_; _ } ->
           leader.(else_) <- true;
           leader.(i + 1) <- true
-      | Djmp t | Dgoto t ->
+      | Djmp t ->
           leader.(t) <- true;
           if i + 1 <= len then leader.(i + 1) <- true
       | _ -> ())
@@ -983,7 +925,7 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
   let is_straight i =
     match code.(i) with
     | Decode.Dfor _ | Decode.Dforback _ | Decode.Dwhile _ | Decode.Dif _
-    | Decode.Djmp _ | Decode.Dgoto _ -> false
+    | Decode.Djmp _ -> false
     | _ -> true
   in
   (* Split a straight-line range into bookkeeping segments: (costs keyed
@@ -995,7 +937,7 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
     let total = ref 0 in
     let acts = ref [] in
     let close () =
-      if !total > 0 || !acts <> [] then begin
+      if !acts <> [] then begin
         let cost_arr =
           Hashtbl.fold (fun c n l -> (c, n) :: l) costs []
           |> List.sort compare |> Array.of_list
@@ -1010,14 +952,11 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
       match code.(i) with
       | Decode.Denter _ | Decode.Dexit _ -> ()
       | op ->
-          let cs, action, barrier = sop_of op in
-          List.iter
-            (fun (_, ci, n) ->
-              Hashtbl.replace costs ci
-                (n + Option.value (Hashtbl.find_opt costs ci) ~default:0);
-              total := !total + n)
-            cs;
-          (match action with Some a -> acts := a :: !acts | None -> ());
+          let _, ci, action, barrier = sop_of op in
+          Hashtbl.replace costs ci
+            (1 + Option.value (Hashtbl.find_opt costs ci) ~default:0);
+          incr total;
+          acts := action :: !acts;
           if barrier then close ()
     done;
     close ();
@@ -1030,12 +969,6 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
   let chain_seg (cost_arr, tot, actions) (next : tctx -> unit) : tctx -> unit
       =
     match (cost_arr, actions) with
-    | [| (c, n) |], [||] ->
-        fun t ->
-          let row = t.row in
-          row.(c) <- row.(c) + n;
-          charge tot;
-          next t
     | [| (c, n) |], [| a |] ->
         fun t ->
           let row = t.row in
@@ -1105,11 +1038,6 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
   (* A segment with no continuation (a loop body's last segment). *)
   let last_seg (cost_arr, tot, actions) : tctx -> unit =
     match (cost_arr, actions) with
-    | [| (c, n) |], [||] ->
-        fun t ->
-          let row = t.row in
-          row.(c) <- row.(c) + n;
-          charge tot
     | [| (c, n) |], [| a |] ->
         fun t ->
           let row = t.row in
@@ -1230,7 +1158,7 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           exit_k t
   in
   (* Traced block compiler: one closure per op, bookkeeping and Trace.Op
-     emission in exact per-op order (the interpreter's traced contract). *)
+     emission in exact per-op order (the tree walker's traced contract). *)
   let compile_block_traced f lo hi =
     let node = ref (goto hi) in
     for i = hi - 1 downto lo do
@@ -1245,30 +1173,15 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
             fun t ->
               f (Trace.Exit { thread = t.thread; scope });
               next t
-        | op -> (
-            let cs, action, _ = sop_of op in
-            let act = Option.value action ~default:(fun (_ : tctx) -> ()) in
-            match cs with
-            | [ (cls, ci, 1) ] ->
-                fun t ->
-                  let row = t.row in
-                  row.(ci) <- row.(ci) + 1;
-                  charge 1;
-                  f (Trace.Op { thread = t.thread; cls });
-                  act t;
-                  next t
-            | _ ->
-                fun t ->
-                  List.iter
-                    (fun (cls, ci, n) ->
-                      for _ = 1 to n do
-                        t.row.(ci) <- t.row.(ci) + 1;
-                        charge 1;
-                        f (Trace.Op { thread = t.thread; cls })
-                      done)
-                    cs;
-                  act t;
-                  next t))
+        | op ->
+            let cls, ci, act, _ = sop_of op in
+            fun t ->
+              let row = t.row in
+              row.(ci) <- row.(ci) + 1;
+              charge 1;
+              f (Trace.Op { thread = t.thread; cls });
+              act t;
+              next t)
     done;
     !node
   in
@@ -1277,9 +1190,10 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
     | None -> compile_block_untraced lo hi
     | Some f -> compile_block_traced f lo hi
   in
-  (* Control ops compile to branch closures with the interpreter's exact
-     bookkeeping (fused Salu+Branch on taken loop edges when untraced,
-     per-op cnt when traced). *)
+  (* Control ops compile to branch closures with the tree walker's
+     bookkeeping: Salu+Branch on taken loop edges, fused into one step
+     when untraced (the fuel waiver in the header) and per-op when
+     traced. *)
   let book_loop_edge =
     match trace with
     | None ->
@@ -1352,11 +1266,6 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           book_branch t;
           if t.si.(cond) <> 0 then then_k t else else_k t
     | Djmp target -> goto target
-    | Dgoto target ->
-        let target_k = goto target in
-        fun (t : tctx) ->
-          book_branch t;
-          target_k t
     | _ -> assert false
   in
   (* Fill the node table: fused block closures at straight-line leaders,

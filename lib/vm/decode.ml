@@ -1,5 +1,5 @@
 (* Pre-decode pass: flatten a structured Isa.program into contiguous arrays
-   of resolved operations executed by Interp's indexed dispatch loop.
+   of resolved operations, the input {!Compile} threads into closures.
 
    The tree walker re-traverses statement lists, re-reads register wrappers
    and re-classifies every instruction on each dynamic execution. Decoding
@@ -10,7 +10,7 @@
    - structured control flow ([For]/[While]/[If]) becomes conditional
      jumps with absolute targets inside one flat [dop array] per phase;
    - [For] headers get a dense [id] into per-activation state arrays (the
-     interpreter reads [lo]/[hi]/[step] once at entry, exactly like the
+     compiled loop reads [lo]/[hi]/[step] once at entry, exactly like the
      tree walker), valid because a given [For] op cannot be re-entered
      before it exits (the ISA has no calls or gotos);
    - [Region] markers become paired enter/exit ops carrying their
@@ -19,15 +19,9 @@
 
    Decoding performs no semantic transformation: Interp executes a decoded
    program with bit-identical registers, memory, {!Counts} and event
-   streams to the tree walker (property-tested in test/test_fastpath.ml,
+   streams to the tree walker (property-tested in test/test_compile.ml,
    and pinned suite-wide by the experiments golden). *)
 
-(* The constructors below Dexit are never produced by [decode]: they are
-   the specialized forms {!Optimize} rewrites decoded ops into. They are
-   appended after the original constructors on purpose — Marshal assigns
-   variant tags in declaration order, so appending keeps the byte
-   representation (and therefore [fingerprint]) of every unoptimized
-   decoded program unchanged. *)
 type dop =
   | Dinstr of { i : Isa.instr; cls : Isa.op_class; cls_idx : int }
   | Dfor of { idx : int; lo : int; hi : int; step : int; id : int; exit : int }
@@ -37,16 +31,6 @@ type dop =
   | Djmp of int
   | Denter of Trace.scope
   | Dexit of Trace.scope
-  | Daddi of { d : int; a : int; imm : int }
-  | Dmuli of { d : int; a : int; imm : int }
-  | Dloadf_at of { dst : int; buf : Isa.buf; imm : int; chain : bool }
-  | Dloadi_at of { dst : int; buf : Isa.buf; imm : int; chain : bool }
-  | Dstoref_at of { buf : Isa.buf; imm : int; src : int }
-  | Dstorei_at of { buf : Isa.buf; imm : int; src : int }
-  | Dgoto of int
-  | Dphantom of { cls : Isa.op_class; cls_idx : int; n : int }
-  | Dsmuladd of { t : int; a : int; b : int; d : int; x : int; y : int }
-  | Dvmuladd of { t : int; a : int; b : int; d : int; x : int; y : int }
 
 type phase = { parallel : bool; code : dop array }
 
@@ -120,13 +104,10 @@ let decode (p : Isa.program) : t =
   in
   { prog = p; phases; n_fors = !n_fors }
 
-let size t =
-  Array.fold_left (fun acc ph -> acc + Array.length ph.code) 0 t.phases
-
 (* The decoded form is pure data (variants, ints, floats, strings,
    arrays — no closures), so a no-sharing Marshal of it is a canonical
    byte string: the content-addressed result store digests exactly what
-   the interpreter will execute. Buffer declarations and register counts
+   the compiled executor will run. Buffer declarations and register counts
    are included because they shape memory binding and validation. *)
 let fingerprint t =
   Digest.to_hex

@@ -446,91 +446,3 @@ let verify ?(width = 4) ?(n_threads = 4) ?(lengths = []) (p : Isa.program) :
       p.phases;
     List.rev !issues
   end
-
-(* ------------------------------------------------------------------ *)
-(* Flat-form checker for optimized decoded arrays                      *)
-
-let check_flat (d : Decode.t) : issue list =
-  let issues = ref [] in
-  let p = d.Decode.prog in
-  let regs = p.Isa.regs in
-  Array.iteri
-    (fun pi (ph : Decode.phase) ->
-      let code = ph.Decode.code in
-      let len = Array.length code in
-      let add i fmt =
-        Fmt.kstr
-          (fun what ->
-            issues := { where = Fmt.str "phase %d op %d" pi i; what } :: !issues)
-          fmt
-      in
-      let chk_target i t =
-        if t < 0 || t > len then add i "jump target %d outside [0, %d]" t len
-      in
-      let chk_reg i name r bound =
-        if r < 0 || r >= max bound 1 then add i "%s reg %d out of range" name r
-      in
-      let chk_si i r = chk_reg i "si" r regs.Isa.si in
-      let chk_sf i r = chk_reg i "sf" r regs.Isa.sf in
-      let chk_vf i r = chk_reg i "vf" r regs.Isa.vf in
-      let chk_operand i = function
-        | Osi (Isa.Si r) -> chk_si i r
-        | Osf (Isa.Sf r) -> chk_sf i r
-        | Ovf (Isa.Vf r) -> chk_vf i r
-        | Ovi (Isa.Vi r) -> chk_reg i "vi" r regs.Isa.vi
-        | Ovm (Isa.Vm r) -> chk_reg i "vm" r regs.Isa.vm
-      in
-      let chk_buf i (Isa.Buf b) want =
-        if b < 0 || b >= Array.length p.Isa.buffers then
-          add i "buffer %d out of range" b
-        else if p.Isa.buffers.(b).Isa.elt <> want then
-          add i "buffer %s accessed with the wrong element type"
-            p.Isa.buffers.(b).Isa.buf_name
-      in
-      Array.iteri
-        (fun i op ->
-          match (op : Decode.dop) with
-          | Decode.Dinstr { i = instr; cls; cls_idx } ->
-              if Isa.classify instr <> cls then add i "stale op class";
-              if Isa.op_class_index cls <> cls_idx then add i "stale class index";
-              let reads, writes = operands instr in
-              List.iter (chk_operand i) reads;
-              List.iter (chk_operand i) writes
-          | Decode.Dfor { idx; lo; hi; step; id; exit } ->
-              List.iter (chk_si i) [ idx; lo; hi; step ];
-              if id < 0 || id >= d.Decode.n_fors then add i "for id %d out of range" id;
-              chk_target i exit
-          | Decode.Dforback { idx; id; body } ->
-              chk_si i idx;
-              if id < 0 || id >= d.Decode.n_fors then add i "for id %d out of range" id;
-              chk_target i body
-          | Decode.Dwhile { cond; exit } -> chk_si i cond; chk_target i exit
-          | Decode.Dif { cond; else_ } -> chk_si i cond; chk_target i else_
-          | Decode.Djmp t | Decode.Dgoto t -> chk_target i t
-          | Decode.Denter _ | Decode.Dexit _ -> ()
-          | Decode.Daddi { d; a; _ } | Decode.Dmuli { d; a; _ } ->
-              chk_si i d; chk_si i a
-          | Decode.Dloadf_at { dst; buf; imm; _ } ->
-              chk_sf i dst; chk_buf i buf Isa.F32;
-              if imm < 0 then add i "negative load index %d" imm
-          | Decode.Dloadi_at { dst; buf; imm; _ } ->
-              chk_si i dst; chk_buf i buf Isa.I32;
-              if imm < 0 then add i "negative load index %d" imm
-          | Decode.Dstoref_at { buf; imm; src } ->
-              chk_sf i src; chk_buf i buf Isa.F32;
-              if imm < 0 then add i "negative store index %d" imm
-          | Decode.Dstorei_at { buf; imm; src } ->
-              chk_si i src; chk_buf i buf Isa.I32;
-              if imm < 0 then add i "negative store index %d" imm
-          | Decode.Dphantom { cls; cls_idx; n } ->
-              if n < 1 then add i "phantom with count %d" n;
-              if Isa.op_class_index cls <> cls_idx then add i "stale class index"
-          | Decode.Dsmuladd { t; a; b; d; x; y } ->
-              List.iter (chk_sf i) [ t; a; b; d; x; y ];
-              if x <> t && y <> t then add i "muladd does not read its product"
-          | Decode.Dvmuladd { t; a; b; d; x; y } ->
-              List.iter (chk_vf i) [ t; a; b; d; x; y ];
-              if x <> t && y <> t then add i "muladd does not read its product")
-        code)
-    d.Decode.phases;
-  List.rev !issues

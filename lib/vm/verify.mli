@@ -29,21 +29,6 @@ type issue = { where : string; what : string }
 val pp_issue : issue Fmt.t
 (** ["<where>: <what>"]. *)
 
-(** One register operand of an instruction, tagged by register file. *)
-type operand =
-  | Osi of Isa.si_reg  (** scalar int register *)
-  | Osf of Isa.sf_reg  (** scalar float register *)
-  | Ovf of Isa.vf_reg  (** vector float register *)
-  | Ovi of Isa.vi_reg  (** vector int register *)
-  | Ovm of Isa.vm_reg  (** mask register *)
-
-val operands : Isa.instr -> operand list * operand list
-(** [(reads, writes)] of one instruction, covering every register
-    operand. [Vinsertf] lists its destination among the reads as well
-    (untouched lanes are preserved), so def/use analyses — the verifier's
-    definedness pass and {!Optimize}'s kill/liveness sets — see the
-    partial write for what it is. *)
-
 val verify :
   ?width:int ->
   ?n_threads:int ->
@@ -55,14 +40,3 @@ val verify :
     buffer name; buffers without an entry are skipped by the bounds
     check. Defaults: [width = 4], [n_threads = 4], [lengths = []].
     Never raises. *)
-
-val check_flat : Decode.t -> issue list
-(** Structural linter for decoded (and in particular {!Optimize}d) op
-    arrays: register indices within the program's declared counts, jump
-    targets within [[0, len]] (len = one past the end, a legal halt),
-    [Dfor]/[Dforback] ids below [n_fors], buffer indices and element
-    types on the immediate load/store forms, phantom counts at least 1,
-    pre-classified op classes consistent with {!Isa.classify}, and fused
-    multiply-adds that actually read their product. Deterministic order;
-    never raises. An unoptimized {!Decode.decode} result always checks
-    clean for a {!Isa.validate}-clean program. *)

@@ -1,77 +1,62 @@
 (* Differential pinning for the closure-compiling backend (lib/vm/compile.ml).
 
-   The compiler's contract is total observational equivalence: for any
-   verifier-clean program, [Compiled config] must agree with [Optimized
-   config], [Decoded] and [Tree] on every observable — final register
+   The compiler's contract is total observational equivalence with the
+   tree walker, the executable spec: for any verifier-clean program,
+   [Compiled] must agree with [Tree] on every observable — final register
    files, memory contents, per-thread count rows, total instructions,
    the memory-access event stream, the profiling trace, and trap
    messages (including the memory state at the fault, which pins the
    batched-bookkeeping fuel semantics). This suite pins that contract
-   with a four-way random-program differential (with and without the
-   optimizer pipeline in front), deterministic trap differentials, and
-   a dozen hand-seeded mutations of compiled-input op arrays — each
-   simulating a distinct compiler-bug class (wrong immediate, dropped
-   def, inflated or misattributed bookkeeping, swapped operands, wrong
-   operator, flipped dependence chain, dropped store, wrong loop bound,
-   perturbed constant, dropped trace scope) — that the observation
-   differential must refute when executed through the compiled
-   executor. *)
+   with a random-program differential (traced and untraced),
+   deterministic trap differentials, and hand-seeded mutations of
+   decoded op arrays — each simulating a distinct compiler-bug class
+   (wrong constant, dropped def, swapped operands, wrong operator,
+   flipped dependence chain, dropped store, wrong loop bound, perturbed
+   float constant, dropped trace scope, misattributed count class) —
+   that the observation differential must refute when executed through
+   the compiled executor. *)
 
 open Ninja_vm
 module F = Test_fastpath
 
 (* ------------------------------------------------------------------ *)
-(* Four-way differential: Tree vs Decoded vs Optimized vs Compiled.    *)
+(* Random-program differential: Tree vs Compiled.                      *)
 
-let four_way ~name ~count config =
-  QCheck.Test.make ~count ~name F.seed_arb (fun seed ->
+let prop_tree_vs_compiled =
+  QCheck.Test.make ~count:500
+    ~name:"random programs: Tree and Compiled agree on all observables"
+    F.seed_arb (fun seed ->
       let prog, n_threads, width = F.build_program seed in
+      let issues =
+        Verify.verify ~width ~n_threads
+          ~lengths:[ ("data", F.data_len); ("idxs", F.data_len) ]
+          prog
+      in
+      if issues <> [] then
+        QCheck.Test.fail_reportf
+          "generator produced a non-verifier-clean program:@ %a"
+          Fmt.(list ~sep:semi Verify.pp_issue)
+          issues;
       List.for_all
         (fun tracing ->
           let t = F.observe ~strategy:Interp.Tree ~tracing ~n_threads ~width prog in
-          let d = F.observe ~strategy:Interp.Decoded ~tracing ~n_threads ~width prog in
-          let o =
-            F.observe ~strategy:(Interp.Optimized config) ~tracing ~n_threads
-              ~width prog
-          in
           let c =
-            F.observe ~strategy:(Interp.Compiled config) ~tracing ~n_threads
-              ~width prog
+            F.observe ~strategy:Interp.Compiled ~tracing ~n_threads ~width prog
           in
-          match
-            (F.diff_observations t d, F.diff_observations d o,
-             F.diff_observations o c)
-          with
-          | None, None, None -> true
-          | Some what, _, _ ->
-              QCheck.Test.fail_reportf "Tree vs Decoded diverge (tracing=%b) on: %s"
-                tracing what
-          | _, Some what, _ ->
+          match F.diff_observations t c with
+          | None -> true
+          | Some what ->
               QCheck.Test.fail_reportf
-                "Decoded vs Optimized(%s) diverge (tracing=%b) on: %s"
-                (Optimize.tag config) tracing what
-          | _, _, Some what ->
-              QCheck.Test.fail_reportf
-                "Optimized vs Compiled(%s) diverge (tracing=%b) on: %s"
-                (Optimize.tag config) tracing what)
+                "Tree vs Compiled diverge (tracing=%b) on: %s" tracing what)
         [ false; true ])
 
-let prop_four_way_default =
-  four_way ~count:100
-    ~name:"random programs: Tree = Decoded = Optimized = Compiled (all passes)"
-    Optimize.default
-
-let prop_four_way_unoptimized =
-  four_way ~count:60
-    ~name:"random programs: compiled plain decoded arrays preserve all observables"
-    Optimize.none
-
 (* ------------------------------------------------------------------ *)
-(* Deterministic trap differentials: Decoded vs Compiled must fault
-   identically — same message, same memory state at the fault. The fuel
-   case is the sharp one: the compiled backend batches instruction/fuel
-   bookkeeping per straight-line segment, and these pin that a batch
-   never moves a trap across an observable effect. *)
+(* Deterministic trap differentials (not verifier-clean on purpose: they
+   fault, and both strategies must fault identically) — same message,
+   same memory state at the fault. The fuel cases are the sharp ones:
+   the compiled backend batches instruction/fuel bookkeeping per
+   straight-line segment, and these pin that a batch never moves a trap
+   across an observable effect. *)
 
 let trap_pair ?(width = 4) ?(fuel = 1_000) build args =
   let obs strategy =
@@ -93,11 +78,10 @@ let trap_pair ?(width = 4) ?(fuel = 1_000) build args =
     in
     (r, snapshot)
   in
-  let d = obs Interp.Decoded
-  and c = obs (Interp.Compiled Optimize.none) in
-  Alcotest.(check bool) "Decoded and Compiled trap identically" true
-    (compare d c = 0);
-  match fst d with
+  let t = obs Interp.Tree and c = obs Interp.Compiled in
+  Alcotest.(check bool) "Tree and Compiled trap identically" true
+    (compare t c = 0);
+  match fst t with
   | Ok msg -> msg
   | Error e -> Alcotest.fail ("expected a trap, got: " ^ e)
 
@@ -180,13 +164,15 @@ let test_trap_nonpositive_step () =
     (Astring_contains.contains msg "step")
 
 (* ------------------------------------------------------------------ *)
-(* Hand-seeded compiler mutations: execute deliberately broken op arrays
-   through the compiled executor via [Interp.run ~decoded
-   ~strategy:(Compiled _)] and assert the observation differential
-   refutes each one against a clean reference run. Each mutation stands
-   in for a distinct class of compiler bug; a compiled executor with any
-   of them could not pass this suite. *)
+(* Hand-seeded compiler mutations: execute deliberately broken decoded
+   arrays through the compiled executor via [Interp.run ~decoded] and
+   assert the observation differential refutes each one against the
+   tree walker. Each mutation stands in for a distinct class of compiler
+   bug; a compiled executor with any of them could not pass this suite.
+   A fall-through [Djmp] to the next op deletes an op in place without
+   shifting any jump target. *)
 
+(* Rewrite the first op [f] matches; [f] also gets the op's index. *)
 let mutate (d : Decode.t) f =
   let found = ref false in
   let phases =
@@ -194,11 +180,11 @@ let mutate (d : Decode.t) f =
       (fun (ph : Decode.phase) ->
         { ph with
           Decode.code =
-            Array.map
-              (fun op ->
+            Array.mapi
+              (fun i op ->
                 if !found then op
                 else
-                  match f op with
+                  match f i op with
                   | Some op' ->
                       found := true;
                       op'
@@ -209,59 +195,8 @@ let mutate (d : Decode.t) f =
   if not !found then Alcotest.fail "mutation site not found in op array";
   { d with Decode.phases }
 
-(* Like Test_fastpath.observe, but selecting the strategy explicitly and
-   optionally executing a pre-supplied (mutated) flat form. *)
-let observe_decoded ~strategy ~tracing ?decoded ~n_threads ~width prog :
-    F.observation =
-  let mem =
-    Memory.create prog
-      [ ("data", Memory.Fbuf (Array.copy F.fdata_init));
-        ("idxs", Memory.Ibuf (Array.copy F.idata_init)) ]
-  in
-  let events = ref [] and trace = ref [] and states = ref [||] in
-  let tracer =
-    if tracing then Some (fun ev -> trace := Fmt.str "%a" Trace.pp ev :: !trace)
-    else None
-  in
-  let o_outcome =
-    match
-      Interp.run ~n_threads ~width
-        ~sink:(fun ev -> events := ev :: !events)
-        ?trace:tracer ~fuel:50_000 ~strategy ?decoded
-        ~on_states:(fun s -> states := s)
-        prog mem
-    with
-    | r ->
-        Ok
-          ( r.Interp.instructions,
-            Array.init n_threads (fun thread ->
-                Array.copy (Counts.thread_row r.Interp.counts ~thread)) )
-    | exception Interp.Trap m -> Error m
-  in
-  let o_data =
-    match Memory.find mem "data" with
-    | _, Memory.Fbuf a -> Array.copy a
-    | _ -> assert false
-  in
-  let o_idxs =
-    match Memory.find mem "idxs" with
-    | _, Memory.Ibuf a -> Array.copy a
-    | _ -> assert false
-  in
-  {
-    F.o_outcome;
-    o_events = !events;
-    o_trace = !trace;
-    o_states =
-      Array.map
-        (fun (s : Interp.thread_state) -> (s.si, s.sf, s.vf, s.vi, s.vm))
-        !states;
-    o_data;
-    o_idxs;
-  }
-
-(* One program with a site for every mutation class: a Daddi (runtime x +
-   const), a runtime Isub and Iadd, a dead def the DCE phantomizes, a
+(* One program with a site for every mutation class: a constant operand,
+   a runtime Isub and Iadd, a def overwritten before its only use, a
    chained Loadf, scalar stores to both buffers, a counted For loop, a
    runtime If, and a profiled region. *)
 let mutation_program () =
@@ -273,12 +208,11 @@ let mutation_program () =
       Builder.emit b (Imov (x, Isa.thread_id_reg));
       let three = Builder.iconst b 3 in
       let z = Builder.ibin b Iadd x three in
-      (* both operands runtime-unknown, so Isub survives as Dinstr *)
       let w = Builder.ibin b Isub z x in
       let zero = Builder.iconst b 0 in
       let one = Builder.iconst b 1 in
       Builder.emit b (Storei { buf = idxs; idx = zero; src = w });
-      (* dead def: overwritten before its only store — DCE phantomizes *)
+      (* a def overwritten before its only store *)
       let r = Builder.si b in
       Builder.emit b (Iconst (r, 5));
       Builder.emit b (Iconst (r, 6));
@@ -303,20 +237,18 @@ let mutation_program () =
   Builder.finish b
 
 (* Refute one mutation: the mutated arrays, executed through the
-   compiled backend, must diverge from the clean reference run. Trace
-   -only mutations (dropped scopes) only show under tracing, so each
-   case declares the tracing modes that must catch it. *)
+   compiled backend, must diverge from the tree walker's run. Trace-only
+   mutations (dropped scopes) only show under tracing, so each case
+   declares the tracing modes that must catch it. *)
 let assert_refuted ?(tracing_modes = [ false; true ]) ~what prog mutated =
   List.iter
     (fun tracing ->
       let good =
-        observe_decoded ~strategy:Interp.Decoded ~tracing ~n_threads:1 ~width:4
-          prog
+        F.observe ~strategy:Interp.Tree ~tracing ~n_threads:1 ~width:4 prog
       in
       let bad =
-        observe_decoded
-          ~strategy:(Interp.Compiled Optimize.none)
-          ~tracing ~decoded:mutated ~n_threads:1 ~width:4 prog
+        F.observe ~strategy:Interp.Compiled ~tracing ~decoded:mutated
+          ~n_threads:1 ~width:4 prog
       in
       match F.diff_observations good bad with
       | Some _ -> ()
@@ -326,23 +258,19 @@ let assert_refuted ?(tracing_modes = [ false; true ]) ~what prog mutated =
                what tracing))
     tracing_modes
 
-let optimized_arrays prog = Optimize.run (Decode.decode prog)
-
 let test_compiled_clean_arrays_agree () =
-  (* sanity for the harness itself: the *unmutated* optimized arrays,
-     executed through the compiled backend, match the reference *)
+  (* sanity for the harness itself: the *unmutated* decoded arrays,
+     supplied through [~decoded], match the tree walker *)
   let prog = mutation_program () in
-  let opt = optimized_arrays prog in
+  let decoded = Decode.decode prog in
   List.iter
     (fun tracing ->
       let good =
-        observe_decoded ~strategy:Interp.Decoded ~tracing ~n_threads:1 ~width:4
-          prog
+        F.observe ~strategy:Interp.Tree ~tracing ~n_threads:1 ~width:4 prog
       in
       let compiled =
-        observe_decoded
-          ~strategy:(Interp.Compiled Optimize.none)
-          ~tracing ~decoded:opt ~n_threads:1 ~width:4 prog
+        F.observe ~strategy:Interp.Compiled ~tracing ~decoded ~n_threads:1
+          ~width:4 prog
       in
       match F.diff_observations good compiled with
       | None -> ()
@@ -352,132 +280,54 @@ let test_compiled_clean_arrays_agree () =
                what))
     [ false; true ]
 
-let mutation_case ~what f =
+let mutation_case ?tracing_modes ~what f =
   Alcotest.test_case ("mutation: " ^ what ^ " is refuted") `Quick (fun () ->
       let prog = mutation_program () in
-      let opt = optimized_arrays prog in
-      f ~prog ~opt)
+      assert_refuted ?tracing_modes ~what prog
+        (mutate (Decode.decode prog) f))
 
 let mutations =
   [
-    mutation_case ~what:"an off-by-one immediate" (fun ~prog ~opt ->
-        let broken =
-          mutate opt (function
-            | Decode.Daddi d -> Some (Decode.Daddi { d with imm = d.imm + 1 })
-            | _ -> None)
-        in
-        assert_refuted ~what:"an off-by-one immediate" prog broken);
-    mutation_case ~what:"a dropped live def" (fun ~prog ~opt ->
-        let broken =
-          mutate opt (function
-            | Decode.Dinstr { i = Isa.Iconst (_, 6); cls; cls_idx } ->
-                Some (Decode.Dphantom { cls; cls_idx; n = 1 })
-            | _ -> None)
-        in
-        assert_refuted ~what:"a dropped live def" prog broken);
-    mutation_case ~what:"inflated batched bookkeeping" (fun ~prog ~opt ->
-        let broken =
-          mutate opt (function
-            | Decode.Dphantom p -> Some (Decode.Dphantom { p with n = p.n + 1 })
-            | _ -> None)
-        in
-        assert_refuted ~what:"inflated batched bookkeeping" prog broken);
-    mutation_case ~what:"a misattributed phantom class" (fun ~prog ~opt ->
-        let broken =
-          mutate opt (function
-            | Decode.Dphantom p when p.cls <> Isa.Branch ->
-                Some
-                  (Decode.Dphantom
-                     { p with
-                       cls = Isa.Branch;
-                       cls_idx = Isa.op_class_index Isa.Branch })
-            | _ -> None)
-        in
-        assert_refuted ~what:"a misattributed phantom class" prog broken);
-    mutation_case ~what:"swapped subtraction operands" (fun ~prog ~opt ->
-        let broken =
-          mutate opt (function
-            | Decode.Dinstr { i = Isa.Ibin (Isa.Isub, d, a, b); cls; cls_idx } ->
-                Some
-                  (Decode.Dinstr { i = Isa.Ibin (Isa.Isub, d, b, a); cls; cls_idx })
-            | _ -> None)
-        in
-        assert_refuted ~what:"swapped subtraction operands" prog broken);
-    mutation_case ~what:"a wrong operator selection" (fun ~prog ~opt ->
-        let broken =
-          mutate opt (function
-            | Decode.Dinstr { i = Isa.Ibin (Isa.Iadd, d, a, b); cls; cls_idx } ->
-                Some
-                  (Decode.Dinstr { i = Isa.Ibin (Isa.Isub, d, a, b); cls; cls_idx })
-            | _ -> None)
-        in
-        assert_refuted ~what:"a wrong operator selection" prog broken);
-    mutation_case ~what:"a flipped dependence-chain flag" (fun ~prog ~opt ->
-        let broken =
-          mutate opt (function
-            | Decode.Dinstr { i = Isa.Loadf l; cls; cls_idx } ->
-                Some
-                  (Decode.Dinstr
-                     { i = Isa.Loadf { l with chain = not l.chain }; cls; cls_idx })
-            | Decode.Dloadf_at l ->
-                Some (Decode.Dloadf_at { l with chain = not l.chain })
-            | _ -> None)
-        in
-        assert_refuted ~what:"a flipped dependence-chain flag" prog broken);
-    mutation_case ~what:"a dropped store" (fun ~prog ~opt ->
-        let broken =
-          mutate opt (function
-            | Decode.Dinstr { i = Isa.Storef _; cls; cls_idx } ->
-                Some (Decode.Dphantom { cls; cls_idx; n = 1 })
-            | Decode.Dstoref_at _ ->
-                Some
-                  (Decode.Dphantom
-                     { cls = Isa.Sstore;
-                       cls_idx = Isa.op_class_index Isa.Sstore;
-                       n = 1 })
-            | _ -> None)
-        in
-        assert_refuted ~what:"a dropped store" prog broken);
-    mutation_case ~what:"a wrong loop bound" (fun ~prog ~opt ->
-        let broken =
-          mutate opt (function
-            | Decode.Dfor d when d.hi <> d.lo ->
-                Some (Decode.Dfor { d with hi = d.lo })
-            | _ -> None)
-        in
-        assert_refuted ~what:"a wrong loop bound" prog broken);
-    mutation_case ~what:"a perturbed float constant" (fun ~prog ~opt ->
-        let broken =
-          mutate opt (function
-            | Decode.Dinstr { i = Isa.Fconst (d, 2.5); cls; cls_idx } ->
-                Some (Decode.Dinstr { i = Isa.Fconst (d, 2.75); cls; cls_idx })
-            | _ -> None)
-        in
-        assert_refuted ~what:"a perturbed float constant" prog broken);
-    mutation_case ~what:"a dropped profiling scope" (fun ~prog ~opt ->
-        let broken =
-          mutate opt (function
-            | Decode.Denter _ ->
-                Some
-                  (Decode.Dphantom
-                     { cls = Isa.Salu;
-                       cls_idx = Isa.op_class_index Isa.Salu;
-                       n = 0 })
-            | _ -> None)
-        in
-        (* scopes are trace-only observables *)
-        assert_refuted ~tracing_modes:[ true ] ~what:"a dropped profiling scope"
-          prog broken);
-    mutation_case ~what:"a misattributed count class" (fun ~prog ~opt ->
-        let broken =
-          mutate opt (function
-            | Decode.Dinstr { i = Isa.Ibin (Isa.Iadd, _, _, _) as i; _ } ->
-                Some
-                  (Decode.Dinstr
-                     { i; cls = Isa.Sfp; cls_idx = Isa.op_class_index Isa.Sfp })
-            | _ -> None)
-        in
-        assert_refuted ~what:"a misattributed count class" prog broken);
+    mutation_case ~what:"an off-by-one immediate" (fun _ -> function
+      | Decode.Dinstr { i = Isa.Iconst (d, 3); cls; cls_idx } ->
+          Some (Decode.Dinstr { i = Isa.Iconst (d, 4); cls; cls_idx })
+      | _ -> None);
+    mutation_case ~what:"a dropped live def" (fun i -> function
+      | Decode.Dinstr { i = Isa.Iconst (_, 6); _ } -> Some (Decode.Djmp (i + 1))
+      | _ -> None);
+    mutation_case ~what:"swapped subtraction operands" (fun _ -> function
+      | Decode.Dinstr { i = Isa.Ibin (Isa.Isub, d, a, b); cls; cls_idx } ->
+          Some (Decode.Dinstr { i = Isa.Ibin (Isa.Isub, d, b, a); cls; cls_idx })
+      | _ -> None);
+    mutation_case ~what:"a wrong operator selection" (fun _ -> function
+      | Decode.Dinstr { i = Isa.Ibin (Isa.Iadd, d, a, b); cls; cls_idx } ->
+          Some (Decode.Dinstr { i = Isa.Ibin (Isa.Isub, d, a, b); cls; cls_idx })
+      | _ -> None);
+    mutation_case ~what:"a flipped dependence-chain flag" (fun _ -> function
+      | Decode.Dinstr { i = Isa.Loadf l; cls; cls_idx } ->
+          Some
+            (Decode.Dinstr
+               { i = Isa.Loadf { l with chain = not l.chain }; cls; cls_idx })
+      | _ -> None);
+    mutation_case ~what:"a dropped store" (fun i -> function
+      | Decode.Dinstr { i = Isa.Storef _; _ } -> Some (Decode.Djmp (i + 1))
+      | _ -> None);
+    mutation_case ~what:"a wrong loop bound" (fun _ -> function
+      | Decode.Dfor d when d.hi <> d.lo -> Some (Decode.Dfor { d with hi = d.lo })
+      | _ -> None);
+    mutation_case ~what:"a perturbed float constant" (fun _ -> function
+      | Decode.Dinstr { i = Isa.Fconst (d, 2.5); cls; cls_idx } ->
+          Some (Decode.Dinstr { i = Isa.Fconst (d, 2.75); cls; cls_idx })
+      | _ -> None);
+    (* scopes are trace-only observables *)
+    mutation_case ~tracing_modes:[ true ] ~what:"a dropped profiling scope"
+      (fun i -> function Decode.Denter _ -> Some (Decode.Djmp (i + 1)) | _ -> None);
+    mutation_case ~what:"a misattributed count class" (fun _ -> function
+      | Decode.Dinstr { i = Isa.Ibin (Isa.Iadd, _, _, _) as i; _ } ->
+          Some
+            (Decode.Dinstr
+               { i; cls = Isa.Sfp; cls_idx = Isa.op_class_index Isa.Sfp })
+      | _ -> None);
   ]
 
 let suite =
@@ -485,8 +335,7 @@ let suite =
     List.concat
       [
         [
-          QCheck_alcotest.to_alcotest prop_four_way_default;
-          QCheck_alcotest.to_alcotest prop_four_way_unoptimized;
+          QCheck_alcotest.to_alcotest prop_tree_vs_compiled;
           Alcotest.test_case "trap: fuel exhaustion" `Quick test_trap_fuel_exhausted;
           Alcotest.test_case "trap: fuel runs out before a store" `Quick
             test_trap_fuel_before_store;

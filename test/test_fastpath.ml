@@ -1,11 +1,12 @@
-(* Differential properties for the fast paths introduced alongside the
+(* Differential machinery for the fast paths introduced alongside the
    self-benchmark:
 
-   - random verifier-clean programs run under both interpreter strategies
-     ([Tree] vs [Decoded]) must agree on every observable: final register
-     files, memory, per-thread instruction counts, the memory-access event
-     stream, the profiling trace, and — for programs that fault — the trap
-     message and the memory state at the fault;
+   - a generator of random verifier-clean programs and an observation of
+     one run — final register files, memory, per-thread instruction
+     counts, the memory-access event stream, the profiling trace, and —
+     for programs that fault — the trap message and the memory state at
+     the fault — which test/test_compile.ml uses to hold the compiled
+     backend to the tree walker;
    - the cache and hierarchy fast layouts ([~fast_path:true], the default)
      must produce access-by-access identical outcomes and end-of-run
      counters to the reference layouts, including evictions, dirty lines
@@ -237,7 +238,9 @@ let build_program seed =
   (Builder.finish b, n_threads, width)
 
 (* ------------------------------------------------------------------ *)
-(* Observing one run: everything the two strategies must agree on. *)
+(* Observing one run: everything the two strategies must agree on.
+   [?decoded] executes a pre-supplied (possibly mutated) flat form
+   through the compiled backend instead of decoding [prog]. *)
 
 type observation = {
   o_outcome : (int * int array array, string) result;
@@ -252,7 +255,7 @@ type observation = {
 let fdata_init = Array.init data_len (fun i -> (float_of_int (i mod 7) /. 2.) -. 1.)
 let idata_init = Array.init data_len (fun i -> ((i * 5) + 3) mod data_len)
 
-let observe ~strategy ~tracing ~n_threads ~width prog =
+let observe ~strategy ~tracing ?decoded ~n_threads ~width prog =
   let mem =
     Memory.create prog
       [ ("data", Memory.Fbuf (Array.copy fdata_init));
@@ -264,7 +267,7 @@ let observe ~strategy ~tracing ~n_threads ~width prog =
   let o_outcome =
     match
       Interp.run ~n_threads ~width ~sink ?trace:tracer ~fuel:50_000 ~strategy
-        ~on_states:(fun s -> states := s)
+        ?decoded ~on_states:(fun s -> states := s)
         prog mem
     with
     | r ->
@@ -309,116 +312,6 @@ let seed_arb =
     ~print:(fun a -> Fmt.str "%a" Fmt.(Dump.array int) a)
     ~shrink:QCheck.Shrink.array
     QCheck.Gen.(array_size (4 -- 48) (int_bound 1_000_000))
-
-let prop_tree_vs_decoded =
-  QCheck.Test.make ~count:150 ~name:"random programs: Tree and Decoded agree on all observables"
-    seed_arb (fun seed ->
-      let prog, n_threads, width = build_program seed in
-      let issues =
-        Verify.verify ~width ~n_threads
-          ~lengths:[ ("data", data_len); ("idxs", data_len) ]
-          prog
-      in
-      if issues <> [] then
-        QCheck.Test.fail_reportf "generator produced a non-verifier-clean program:@ %a"
-          Fmt.(list ~sep:semi Verify.pp_issue)
-          issues;
-      List.for_all
-        (fun tracing ->
-          let t = observe ~strategy:Interp.Tree ~tracing ~n_threads ~width prog in
-          let d = observe ~strategy:Interp.Decoded ~tracing ~n_threads ~width prog in
-          match diff_observations t d with
-          | None -> true
-          | Some what ->
-              QCheck.Test.fail_reportf "strategies diverge (tracing=%b) on: %s" tracing what)
-        [ false; true ])
-
-(* ---- deterministic trap differentials (not verifier-clean on purpose:
-   they fault, and both strategies must fault identically) ---- *)
-
-let trap_pair ?(width = 4) build args =
-  let obs strategy =
-    let b = Builder.create ~name:"trap" in
-    build b;
-    let prog = Builder.finish b in
-    let mem = Memory.create prog (args ()) in
-    let r =
-      match Interp.run ~width ~fuel:1_000 ~strategy prog mem with
-      | (_ : Interp.result) -> Error "no trap"
-      | exception Interp.Trap m -> Ok m
-    in
-    let snapshot =
-      List.map (fun (name, _) ->
-          match Memory.find mem name with
-          | _, Memory.Fbuf a -> (name, `F (Array.copy a))
-          | _, Memory.Ibuf a -> (name, `I (Array.copy a)))
-        (args ())
-    in
-    (r, snapshot)
-  in
-  let t = obs Interp.Tree and d = obs Interp.Decoded in
-  Alcotest.(check bool) "Tree and Decoded trap identically" true (compare t d = 0);
-  match fst t with
-  | Ok msg -> msg
-  | Error e -> Alcotest.fail ("expected a trap, got: " ^ e)
-
-let test_trap_oob_vector_store () =
-  (* unmasked store straddling the end of the buffer: the block fast path
-     must fall back lane-by-lane, preserving partial writes and the exact
-     trap message *)
-  let msg =
-    trap_pair
-      (fun b ->
-        let buf = Builder.buffer_f b "buf" in
-        Builder.seq_phase b (fun () ->
-            let sf = Builder.fconst b 9. in
-            let v = Builder.vf b in
-            Builder.emit b (Vbroadcastf (v, sf));
-            let base = Builder.iconst b 6 in
-            Builder.emit b (Vstoref { buf; idx = base; src = v; mask = None })))
-      (fun () -> [ ("buf", Memory.Fbuf (Array.make 8 0.)) ])
-  in
-  Alcotest.(check bool) "oob in message" true (Astring_contains.contains msg "out-of-bounds")
-
-let test_trap_div_by_zero () =
-  let msg =
-    trap_pair
-      (fun b ->
-        Builder.seq_phase b (fun () ->
-            let z = Builder.iconst b 0 in
-            let x = Builder.iconst b 7 in
-            ignore (Builder.ibin b Idiv x z : Isa.si_reg)))
-      (fun () -> [])
-  in
-  Alcotest.(check bool) "division in message" true
-    (Astring_contains.contains msg "division by zero")
-
-let test_trap_fuel_exhausted () =
-  let obs strategy =
-    let b = Builder.create ~name:"spin" in
-    Builder.seq_phase b (fun () ->
-        let one = Builder.iconst b 1 in
-        Builder.while_ b ~cond:(fun () -> one) (fun () -> ignore (Builder.iconst b 0 : Isa.si_reg)));
-    let prog = Builder.finish b in
-    let mem = Memory.create prog [] in
-    match Interp.run ~fuel:500 ~strategy prog mem with
-    | (_ : Interp.result) -> Alcotest.fail "expected fuel trap"
-    | exception Interp.Trap m -> m
-  in
-  Alcotest.(check string) "same fuel trap" (obs Interp.Tree) (obs Interp.Decoded)
-
-let test_trap_nonpositive_step () =
-  let msg =
-    trap_pair
-      (fun b ->
-        Builder.seq_phase b (fun () ->
-            let lo = Builder.iconst b 0 in
-            let hi = Builder.iconst b 4 in
-            let step = Builder.iconst b 0 in
-            Builder.for_ b ~lo ~hi ~step (fun _ -> ())))
-      (fun () -> [])
-  in
-  Alcotest.(check bool) "step in message" true (Astring_contains.contains msg "step")
 
 (* ------------------------------------------------------------------ *)
 (* Cache: fast layout vs reference layout on identical access streams,
@@ -553,10 +446,5 @@ let prop_hierarchy_fast_matches_reference =
 
 let suite =
   ( "fastpath",
-    [ QCheck_alcotest.to_alcotest prop_tree_vs_decoded;
-      Alcotest.test_case "trap: partial oob vector store" `Quick test_trap_oob_vector_store;
-      Alcotest.test_case "trap: integer division by zero" `Quick test_trap_div_by_zero;
-      Alcotest.test_case "trap: fuel exhaustion" `Quick test_trap_fuel_exhausted;
-      Alcotest.test_case "trap: non-positive loop step" `Quick test_trap_nonpositive_step;
-      QCheck_alcotest.to_alcotest prop_cache_fast_matches_reference;
+    [ QCheck_alcotest.to_alcotest prop_cache_fast_matches_reference;
       QCheck_alcotest.to_alcotest prop_hierarchy_fast_matches_reference ] )
