@@ -16,7 +16,8 @@
    against a throwaway result store of its own (so cold simulates every
    job; `--no-cache` skips this part), written as a JSON report
    (BENCH_simulator.json by default). `--smoke` shrinks the throughput
-   grid to one job and the store grid to experiment F1, then asserts
+   grid to Selfbench.smoke's two jobs and the store grid to experiment
+   F1, then asserts
    the warm pass executed zero simulations at least 5x faster than
    cold — the @bench-smoke CI gate, which also fails when the compiled
    geomean falls below the baseline one. *)
@@ -135,7 +136,7 @@ let run_bechamel () =
 
 (* ---- the simulator self-benchmark (`main.exe simulate`) ---- *)
 
-(* [slack] relaxes the backend-ordering gate: the 1-job smoke run's
+(* [slack] relaxes the backend-ordering gate: the smoke run's
    timings are noisy under parallel `dune runtest` rule execution, so it
    tolerates a 10% inversion; the full-grid run stays strict. *)
 let validate_report ?(slack = 0.) ~expect_grid path =
@@ -183,10 +184,7 @@ let run_simulate () =
   let out = Option.value (flag_value "--out") ~default:"BENCH_simulator.json" in
   let domains = domains_of_argv () in
   let r =
-    if smoke then
-      Selfbench.run ?domains
-        ~benchmarks:[ Ninja_kernels.Registry.find "BlackScholes" ]
-        ~machines:[ Machine.westmere ] ~steps:[ "ninja" ] ()
+    if smoke then Selfbench.smoke ()
     else
       (* 4 repeats for the committed full-grid numbers: this host shows
          double-digit per-sample noise under virtualization, and the min

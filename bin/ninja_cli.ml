@@ -510,8 +510,8 @@ let bench_cmd =
   in
   let smoke_arg =
     let doc =
-      "Tiny run (one benchmark, one machine, one step) to validate the \
-       harness, not to produce meaningful numbers."
+      "Small run (two ninja jobs on one machine and domain, the F1 store \
+       grid) to validate the harness and feed the regression gate."
     in
     Arg.(value & flag & info [ "smoke" ] ~doc)
   in
@@ -525,11 +525,7 @@ let bench_cmd =
       exit 1
     end;
     let r =
-      if smoke then
-        S.run ?domains:jobs
-          ~benchmarks:[ Ninja_kernels.Registry.find "BlackScholes" ]
-          ~machines:[ Ninja_arch.Machine.westmere ]
-          ~steps:[ "ninja" ] ()
+      if smoke then S.smoke ()
       else
         S.run ?domains:jobs
           ~progress:(fun j ->

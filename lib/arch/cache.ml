@@ -41,12 +41,12 @@ type t = {
   fast : bool;
 }
 
-type outcome = { hit : bool; evicted_dirty : int option }
+(* Int-coded so that no access allocates, a dirty eviction included: a
+   non-negative outcome is the evicted dirty line's address. *)
+type outcome = int
 
-(* Preallocated outcomes for the two no-eviction cases, so steady-state
-   accesses allocate nothing. *)
-let hit_clean = { hit = true; evicted_dirty = None }
-let miss_clean = { hit = false; evicted_dirty = None }
+let hit = -1
+let clean_miss = -2
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
@@ -96,7 +96,7 @@ let access_ref t ~line_addr ~write =
     t.hits <- t.hits + 1;
     t.stamp.(i) <- t.clock;
     if write then t.dirty.(i) <- true;
-    hit_clean
+    hit
   end
   else begin
     t.misses <- t.misses + 1;
@@ -117,16 +117,12 @@ let access_ref t ~line_addr ~write =
        done
      with Exit -> ());
     let i = !victim in
-    let evicted_dirty =
-      if t.valid.(i) && t.dirty.(i) then Some t.tags.(i) else None
-    in
+    let outcome = if t.valid.(i) && t.dirty.(i) then t.tags.(i) else clean_miss in
     t.tags.(i) <- line_addr;
     t.valid.(i) <- true;
     t.dirty.(i) <- write;
     t.stamp.(i) <- t.clock;
-    match evicted_dirty with
-    | None -> miss_clean
-    | Some _ -> { hit = false; evicted_dirty }
+    outcome
   end
 
 let access_fast t ~line_addr ~write =
@@ -158,7 +154,7 @@ let access_fast t ~line_addr ~write =
     if write then d.(i) <- d.(i) lor 1;
     t.last_line <- line_addr;
     t.last_way <- i;
-    hit_clean
+    hit
   end
   else begin
     t.misses <- t.misses + 1;
@@ -180,14 +176,12 @@ let access_fast t ~line_addr ~write =
     done;
     let i = if !first_invalid >= 0 then !first_invalid else !lru in
     let tg = d.(i) in
-    let evicted_dirty = if tg <> -1 && tg land 1 = 1 then Some (tg asr 1) else None in
+    let outcome = if tg <> -1 && tg land 1 = 1 then tg asr 1 else clean_miss in
     d.(i) <- (line_addr lsl 1) lor (if write then 1 else 0);
     d.(i + 1) <- t.clock;
     t.last_line <- line_addr;
     t.last_way <- i;
-    match evicted_dirty with
-    | None -> miss_clean
-    | Some _ -> { hit = false; evicted_dirty }
+    outcome
   end
 
 let access t ~line_addr ~write =
@@ -200,7 +194,7 @@ let access t ~line_addr ~write =
       let d = t.data in
       d.(t.last_way + 1) <- t.clock;
       if write then d.(t.last_way) <- d.(t.last_way) lor 1;
-      hit_clean
+      hit
     end
     else access_fast t ~line_addr ~write
   else access_ref t ~line_addr ~write

@@ -6,12 +6,16 @@ type t
 
 type cfg = Machine.cache_cfg
 
-(** Result of a lookup-with-fill. *)
-type outcome = {
-  hit : bool;
-  evicted_dirty : int option;
-      (** line address of a dirty line displaced by the fill, if any *)
-}
+type outcome = int
+(** Result of a lookup-with-fill, int-coded so that no access allocates:
+    {!hit}, {!clean_miss}, or — for a miss whose fill displaced a dirty
+    line — that line's address, which is never negative. *)
+
+val hit : outcome
+(** The line was resident. *)
+
+val clean_miss : outcome
+(** The line was filled without displacing a dirty line. *)
 
 val create : ?fast_path:bool -> cfg -> t
 (** An empty cache with the configuration's geometry.

@@ -56,20 +56,18 @@ let line_bytes t = t.machine.l1.line_bytes
    traffic. *)
 let access_line t ~core ~line_addr ~write =
   let c = t.cores.(core) in
-  let l1r = Cache.access c.l1 ~line_addr ~write in
-  if l1r.hit then 0 (* L1; covered is reported separately for L1 hits *)
+  if Cache.access c.l1 ~line_addr ~write = Cache.hit then
+    0 (* L1; covered is reported separately for L1 hits *)
   else begin
     let covered =
       t.machine.prefetch && Prefetch.observe c.pf ~line_addr
     in
-    let l2r = Cache.access c.l2 ~line_addr ~write in
-    if l2r.hit then (if covered then 3 else 2)
+    if Cache.access c.l2 ~line_addr ~write = Cache.hit then (if covered then 3 else 2)
     else begin
-      let llcr = Cache.access t.llc ~line_addr ~write in
-      (match llcr.evicted_dirty with
-      | Some _ -> t.dram_write <- t.dram_write + line_bytes t
-      | None -> ());
-      if llcr.hit then (if covered then 5 else 4)
+      let llc = Cache.access t.llc ~line_addr ~write in
+      (* a non-negative outcome is a dirty line written back *)
+      if llc >= 0 then t.dram_write <- t.dram_write + line_bytes t;
+      if llc = Cache.hit then (if covered then 5 else 4)
       else begin
         t.dram_read <- t.dram_read + line_bytes t;
         if covered then 7 else 6

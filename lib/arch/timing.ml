@@ -49,6 +49,25 @@ let trace_level : Hierarchy.level -> Trace.level = function
   | LLC -> Trace.LLC
   | Dram -> Trace.Dram
 
+(* The untraced fast path: one call per access from compiled code, with
+   immediates, summing the stall straight into [stalls] from per-level
+   penalties resolved here — no record in, none out, nothing allocated. *)
+let access_hook (m : Machine.t) hier ~stalls : Event.hook =
+  let mlp = float_of_int m.mlp
+  and l2_p = float_of_int m.l2.latency
+  and llc_p = float_of_int m.llc.latency
+  and dram_p = float_of_int m.dram_latency in
+  let hook ~thread ~addr ~bytes ~write ~chain ~nt =
+    let r = Hierarchy.access hier ~core:thread ~addr ~bytes ~write ~nt in
+    if not r.covered then begin
+      let p =
+        match r.level with L1 -> 0. | L2 -> l2_p | LLC -> llc_p | Dram -> dram_p
+      in
+      stalls.(thread) <- stalls.(thread) +. (if chain then p else p /. mlp)
+    end
+  in
+  hook
+
 let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?fast_path prog
     mem =
   let m : Machine.t = machine in
@@ -67,12 +86,10 @@ let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?fa
     | Dram -> float_of_int m.dram_latency
   in
   let dram_total () = Hierarchy.dram_read_bytes hier + Hierarchy.dram_write_bytes hier in
-  (* The fast event sink is selected once on trace presence: the untraced
-     (common) variant carries no dram-delta bookkeeping and no per-event
-     option matches, so profiling costs nothing when it is off. With
-     [~fast_path:false] the original sink — one closure matching [trace]
-     per event — is used instead, keeping the baseline configuration's
-     costs faithful to the pre-fast-path simulator. *)
+  (* With [~fast_path:false] the original record sink — one closure
+     matching [trace] per event, fed through [Interp]'s record-building
+     adapter — is used, keeping the baseline configuration's costs
+     faithful to the pre-fast-path simulator. *)
   let reference_sink (e : Event.t) =
     let core = e.thread mod m.cores in
     let write = e.kind = Event.Write in
@@ -95,47 +112,41 @@ let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?fa
              { thread = e.thread; level = trace_level r.level; covered = r.covered;
                stall; bytes = e.bytes; write; dram_bytes = dram_total () - dram_before })
   in
-  let sink =
-    if fast_path = Some false then reference_sink
+  (* The fast path is an access hook, selected once on trace presence
+     ([n_threads <= m.cores] is enforced above, so thread t is core t);
+     the traced variant also reports each access to the profiler. *)
+  let sink, access =
+    if fast_path = Some false then (Some reference_sink, None)
     else
       match trace with
-      | None ->
-          fun (e : Event.t) ->
-          let core = e.thread in (* n_threads <= m.cores is enforced above *)
-          let write = match e.kind with Event.Write -> true | Event.Read -> false in
-          let r = Hierarchy.access hier ~core ~addr:e.addr ~bytes:e.bytes ~write ~nt:e.nt in
-          if not r.covered then begin
-            let p = level_penalty r.level in
-            let s = if e.chain then p else p /. mlp in
-            stalls.(e.thread) <- stalls.(e.thread) +. s
-          end
+      | None -> (None, Some (access_hook m hier ~stalls))
       | Some f ->
-          fun (e : Event.t) ->
-          let core = e.thread in (* n_threads <= m.cores is enforced above *)
-          let write = match e.kind with Event.Write -> true | Event.Read -> false in
-          let dram_before = dram_total () in
-          let r = Hierarchy.access hier ~core ~addr:e.addr ~bytes:e.bytes ~write ~nt:e.nt in
-          let stall =
-            if r.covered then 0.
-            else begin
-              let p = level_penalty r.level in
-              let s = if e.chain then p else p /. mlp in
-              stalls.(e.thread) <- stalls.(e.thread) +. s;
-              s
-            end
+          let hook ~thread ~addr ~bytes ~write ~chain ~nt =
+            let dram_before = dram_total () in
+            let r = Hierarchy.access hier ~core:thread ~addr ~bytes ~write ~nt in
+            let stall =
+              if r.covered then 0.
+              else begin
+                let p = level_penalty r.level in
+                let s = if chain then p else p /. mlp in
+                stalls.(thread) <- stalls.(thread) +. s;
+                s
+              end
+            in
+            f
+              (Trace.Access
+                 { thread; level = trace_level r.level; covered = r.covered;
+                   stall; bytes; write; dram_bytes = dram_total () - dram_before })
           in
-          f
-            (Trace.Access
-               { thread = e.thread; level = trace_level r.level; covered = r.covered;
-                 stall; bytes = e.bytes; write; dram_bytes = dram_total () - dram_before })
+          (None, Some hook)
   in
   let counts = Counts.create n_threads in
   let instructions = ref 0 in
   (* one session for all launches: decode/compile run once, each loop
      iteration is a bare launch *)
   let launch =
-    Interp.session ~n_threads ~width:m.simd_width ~sink ?trace ?strategy prog
-      mem
+    Interp.session ~n_threads ~width:m.simd_width ?access ?sink ?trace
+      ?strategy prog mem
   in
   for run = 0 to runs - 1 do
     (match prepare with Some f -> f run mem | None -> ());

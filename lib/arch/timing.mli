@@ -59,6 +59,16 @@ val simulate :
     and a final {!Ninja_vm.Trace.event.Drain} for the writeback drain.
     Passing it does not change any reported number. *)
 
+val access_hook :
+  Machine.t -> Hierarchy.t -> stalls:float array -> Ninja_vm.Event.hook
+(** [access_hook m hier ~stalls] is {!simulate}'s untraced memory model:
+    each access walks core [thread]'s path through [hier] and, unless
+    prefetch-covered or an L1 hit, adds its latency — full when the
+    address was [chain]ed on a previous load, else divided by the
+    machine's memory-level parallelism — to [stalls.(thread)]. It
+    allocates nothing. Thread [t] runs on core [t], so [stalls] and the
+    thread count must not exceed the machine's cores. *)
+
 val issue_time : Machine.t -> Ninja_vm.Counts.t -> thread:int -> float
 (** Port-model issue time (cycles) for one thread's instruction counts:
     each class priced at its reciprocal throughput, binned onto ALU / FP /

@@ -236,6 +236,16 @@ let run ?domains ?(repeats = 2) ?(benchmarks = Registry.all)
    mean cold whatever the user's store holds. The in-process memo and
    any previously installed store are saved and restored, so this is
    safe to run from the harness without perturbing later work. *)
+
+(* The fresh run of @bench-check's regression gate: two jobs of 40 ms
+   and more, so their time is simulation rather than set-up (a fresh
+   3 MB LLC model and the bindings, whose page faults make a ~7 ms job
+   noisy), timed min-of-8 on one domain. *)
+let smoke () =
+  run ~domains:1 ~repeats:8
+    ~benchmarks:[ Registry.find "NBody"; Registry.find "BackProjection" ]
+    ~machines:[ Machine.westmere ] ~steps:[ "ninja" ] ()
+
 let run_grid ?domains ?experiments () =
   let saved_store = Experiments.store () in
   let store = Store.scratch () in

@@ -106,6 +106,12 @@ val run :
     report that is not structurally identical to the baseline one
     (the backends or cache layouts diverged — a bug). *)
 
+val smoke : unit -> result
+(** The throughput part of [bench simulate --smoke], whose report is the
+    fresh side of [@bench-check]'s fresh-vs-committed gate: the ninja
+    step of NBody and BackProjection on Westmere, on one domain, minimum
+    of 8 rounds. *)
+
 val run_grid :
   ?domains:int ->
   ?experiments:Experiments.experiment list ->

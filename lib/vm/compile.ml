@@ -19,8 +19,25 @@
      through a node table — the loop back edge is a single compare +
      direct jump to the body's block closure.
 
+   Memory ops. Every buffer an op names is resolved once, at compile
+   time, to its live array and modeled base address ({!Memory.resolve}).
+   At run time a scalar access, each active lane of a masked, strided,
+   gather or scatter access, and the whole range of an unmasked
+   unit-stride access pass one bounds check and then read or write the
+   [float array]/[int array] directly — no boxed float, no accessor call.
+   The access then reaches its consumers through [ctx.hook], the
+   session's one {!Event.hook}, called with immediates and the address
+   precomputed as [base + 4 * idx]; untraced, nothing on this path
+   allocates. The fallback contract: an index that fails the check — or
+   any access to a buffer of the other element type, which resolves to
+   an empty array — goes through the checked accessor ([Memory.get_f]
+   and kin), which raises the tree walker's exact trap. Lanes before the
+   faulting one have already been written and hooked, as in the tree
+   walker, so trap messages, partial lane writes and event prefixes are
+   identical.
+
    Compiled closures take the per-thread execution state ({!tctx}: register
-   files, counts row, event hook, thread id) as an argument rather than
+   files, counts row, thread id) as an argument rather than
    capturing it, so one compilation is shared by every simulated thread of
    a parallel phase — compile cost is per (phase, run), not per (phase,
    thread, run), which is what makes the backend profitable on short
@@ -47,8 +64,9 @@
    per-op order; execution is still threaded.
 
    Equivalence is property-tested Tree vs Compiled in
-   test/test_compile.ml, including seeded miscompilation mutants that the
-   differential must refute. *)
+   test/test_compile.ml, including trap fixtures for every memory-op
+   fallback and seeded miscompilation mutants that the differential must
+   refute. *)
 
 type tctx = {
   si : int array;
@@ -58,14 +76,6 @@ type tctx = {
   vm : bool array array;
   row : int array;
   thread : int;
-  emit :
-    nt:bool ->
-    buf:Isa.buf ->
-    idx:int ->
-    bytes:int ->
-    kind:Event.kind ->
-    chain:bool ->
-    unit;
 }
 
 type ctx = {
@@ -80,6 +90,7 @@ type ctx = {
   for_hi : int array;
   for_step : int array;
   trace : Trace.sink option;
+  hook : Event.hook;
 }
 
 (* Lane accesses below use [Array.unsafe_get]/[Array.unsafe_set]
@@ -87,9 +98,11 @@ type ctx = {
    flambda; a named wrapper would not). The lane variable [l] is always
    in [0, width) by loop construction and every vector-register row is
    built with exactly [width] slots, so skipping the bounds check is
-   sound. Register-file and memory-buffer indexing stays checked: the
-   compiler-mutation differentials execute deliberately broken op
-   arrays, which must fault exactly like the tree walker does. *)
+   sound. A resolved memory array is indexed unchecked only after the
+   arm's own bounds test has passed (see the header). Register-file
+   indexing stays checked: the compiler-mutation differentials execute
+   deliberately broken op arrays, which must fault exactly like the tree
+   walker does. *)
 
 (* Pre-resolved count-row indices for the loop-edge and branch
    bookkeeping. *)
@@ -118,7 +131,21 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
   let prog_name = ctx.prog_name in
   let for_cur = ctx.for_cur and for_hi = ctx.for_hi
   and for_step = ctx.for_step in
-  let trace = ctx.trace in
+  let trace = ctx.trace and hook = ctx.hook in
+  (* Buffer resolution, once per compilation: the live array and the
+     modeled base address (see the memory-op contract in the header). A
+     buffer of the other element type resolves to an empty array, so its
+     every access takes the checked fallback — which traps. *)
+  let floats buf =
+    match Memory.resolve mem buf with
+    | Memory.Fbuf a, base -> (a, base)
+    | Memory.Ibuf _, base -> ([||], base)
+  in
+  let ints buf =
+    match Memory.resolve mem buf with
+    | Memory.Ibuf a, base -> (a, base)
+    | Memory.Fbuf _, base -> ([||], base)
+  in
   (* Mask slot resolution, compile-time specialized: the unmasked case is
      a constant, the masked case one row read from the argument state. *)
   let act_get = function
@@ -331,27 +358,43 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
     | Fofi (Sf d, Si a) -> fun t -> t.sf.(d) <- float_of_int t.si.(a)
     | Ioff (Si d, Sf a) -> fun t -> t.si.(d) <- int_of_float t.sf.(a)
     | Loadf { dst = Sf dst; buf; idx = Si idx; chain } ->
+        let a, abase = floats buf in
+        let n = Array.length a in
         fun t ->
           let i = t.si.(idx) in
-          t.sf.(dst) <- Memory.get_f mem buf i;
-          t.emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Read ~chain
+          if i >= 0 && i < n then t.sf.(dst) <- Array.unsafe_get a i
+          else t.sf.(dst) <- Memory.get_f mem buf i;
+          hook ~thread:t.thread ~addr:(abase + (4 * i)) ~bytes:4 ~write:false
+            ~chain ~nt:false
     | Loadi { dst = Si dst; buf; idx = Si idx; chain } ->
+        let a, abase = ints buf in
+        let n = Array.length a in
         fun t ->
           let si = t.si in
           let i = si.(idx) in
-          si.(dst) <- Memory.get_i mem buf i;
-          t.emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Read ~chain
+          if i >= 0 && i < n then si.(dst) <- Array.unsafe_get a i
+          else si.(dst) <- Memory.get_i mem buf i;
+          hook ~thread:t.thread ~addr:(abase + (4 * i)) ~bytes:4 ~write:false
+            ~chain ~nt:false
     | Storef { buf; idx = Si idx; src = Sf src } ->
+        let a, abase = floats buf in
+        let n = Array.length a in
         fun t ->
           let i = t.si.(idx) in
-          Memory.set_f mem buf i t.sf.(src);
-          t.emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Write ~chain:false
+          if i >= 0 && i < n then Array.unsafe_set a i t.sf.(src)
+          else Memory.set_f mem buf i t.sf.(src);
+          hook ~thread:t.thread ~addr:(abase + (4 * i)) ~bytes:4 ~write:true
+            ~chain:false ~nt:false
     | Storei { buf; idx = Si idx; src = Si src } ->
+        let a, abase = ints buf in
+        let n = Array.length a in
         fun t ->
           let si = t.si in
           let i = si.(idx) in
-          Memory.set_i mem buf i si.(src);
-          t.emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Write ~chain:false
+          if i >= 0 && i < n then Array.unsafe_set a i si.(src)
+          else Memory.set_i mem buf i si.(src);
+          hook ~thread:t.thread ~addr:(abase + (4 * i)) ~bytes:4 ~write:true
+            ~chain:false ~nt:false
     | Vmovf (Vf d, Vf a) ->
         fun t ->
           let vf = t.vf in
@@ -361,7 +404,10 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           let vi = t.vi in
           Array.blit vi.(a) 0 vi.(d) 0 width
     | Vbroadcastf (Vf d, Sf a) ->
-        fun t -> Array.fill t.vf.(d) 0 width t.sf.(a)
+        fun t ->
+          (* a loop, not [Array.fill]: the polymorphic fill boxes *)
+          let d = t.vf.(d) and x = t.sf.(a) in
+          for l = 0 to width - 1 do Array.unsafe_set d l x done
     | Vbroadcasti (Vi d, Si a) ->
         fun t -> Array.fill t.vi.(d) 0 width t.si.(a)
     | Viota (Vi d) ->
@@ -698,27 +744,53 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           let vm = t.vm in
           let d = vm.(d) and a = vm.(a) and b = vm.(b) in
           for l = 0 to width - 1 do Array.unsafe_set d l ((Array.unsafe_get a l) || (Array.unsafe_get b l)) done
+    (* lane loops, not [Array.exists]/[Array.for_all]: those allocate a
+       closure per call *)
     | Many (Si d, Vm a) ->
         fun t ->
-          t.si.(d) <- (if Array.exists Fun.id t.vm.(a) then 1 else 0)
+          let m = t.vm.(a) in
+          let any = ref 0 in
+          for l = 0 to width - 1 do
+            if Array.unsafe_get m l then any := 1
+          done;
+          t.si.(d) <- !any
     | Mall (Si d, Vm a) ->
         fun t ->
-          t.si.(d) <- (if Array.for_all Fun.id t.vm.(a) then 1 else 0)
+          let m = t.vm.(a) in
+          let all = ref 1 in
+          for l = 0 to width - 1 do
+            if not (Array.unsafe_get m l) then all := 0
+          done;
+          t.si.(d) <- !all
     | Mcount (Si d, Vm a) ->
         fun t ->
-          t.si.(d) <-
-            Array.fold_left
-              (fun acc b -> if b then acc + 1 else acc)
-              0 t.vm.(a)
+          let m = t.vm.(a) in
+          let n = ref 0 in
+          for l = 0 to width - 1 do
+            if Array.unsafe_get m l then incr n
+          done;
+          t.si.(d) <- !n
     | Vloadf { dst = Vf dst; buf; idx = Si idx; mask = None } ->
+        let a, abase = floats buf in
+        let n = Array.length a in
         fun t ->
           emit_lanes_act t all_true;
           let base = t.si.(idx) in
-          Memory.get_f_block mem buf base t.vf.(dst) width;
-          t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Read
-            ~chain:false
+          let d = t.vf.(dst) in
+          if base >= 0 && base + width <= n then
+            for l = 0 to width - 1 do
+              Array.unsafe_set d l (Array.unsafe_get a (base + l))
+            done
+          else
+            for l = 0 to width - 1 do
+              d.(l) <- Memory.get_f mem buf (base + l)
+            done;
+          hook ~thread:t.thread ~addr:(abase + (4 * base)) ~bytes:(width * 4)
+            ~write:false ~chain:false ~nt:false
     | Vloadf { dst = Vf dst; buf; idx = Si idx; mask } ->
         let get_act = act_get mask in
+        let a, abase = floats buf in
+        let n = Array.length a in
         fun t ->
           let d = t.vf.(dst) and act = get_act t in
           emit_lanes_act t act;
@@ -726,22 +798,36 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           let any = ref false in
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Array.unsafe_set d l (Memory.get_f mem buf (base + l));
+              let i = base + l in
+              if i >= 0 && i < n then Array.unsafe_set d l (Array.unsafe_get a i)
+              else Array.unsafe_set d l (Memory.get_f mem buf i);
               any := true
             end
           done;
           if !any then
-            t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Read
-              ~chain:false
+            hook ~thread:t.thread ~addr:(abase + (4 * base)) ~bytes:(width * 4)
+              ~write:false ~chain:false ~nt:false
     | Vloadi { dst = Vi dst; buf; idx = Si idx; mask = None } ->
+        let a, abase = ints buf in
+        let n = Array.length a in
         fun t ->
           emit_lanes_act t all_true;
           let base = t.si.(idx) in
-          Memory.get_i_block mem buf base t.vi.(dst) width;
-          t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Read
-            ~chain:false
+          let d = t.vi.(dst) in
+          if base >= 0 && base + width <= n then
+            for l = 0 to width - 1 do
+              Array.unsafe_set d l (Array.unsafe_get a (base + l))
+            done
+          else
+            for l = 0 to width - 1 do
+              d.(l) <- Memory.get_i mem buf (base + l)
+            done;
+          hook ~thread:t.thread ~addr:(abase + (4 * base)) ~bytes:(width * 4)
+            ~write:false ~chain:false ~nt:false
     | Vloadi { dst = Vi dst; buf; idx = Si idx; mask } ->
         let get_act = act_get mask in
+        let a, abase = ints buf in
+        let n = Array.length a in
         fun t ->
           let d = t.vi.(dst) and act = get_act t in
           emit_lanes_act t act;
@@ -749,54 +835,86 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           let any = ref false in
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Array.unsafe_set d l (Memory.get_i mem buf (base + l));
+              let i = base + l in
+              if i >= 0 && i < n then Array.unsafe_set d l (Array.unsafe_get a i)
+              else Array.unsafe_set d l (Memory.get_i mem buf i);
               any := true
             end
           done;
           if !any then
-            t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Read
-              ~chain:false
+            hook ~thread:t.thread ~addr:(abase + (4 * base)) ~bytes:(width * 4)
+              ~write:false ~chain:false ~nt:false
     | Vloadf_strided { dst = Vf dst; buf; idx = Si idx; stride = Si stride } ->
+        let a, abase = floats buf in
+        let n = Array.length a in
         fun t ->
           let d = t.vf.(dst) in
           let base = t.si.(idx) and s = t.si.(stride) in
           for l = 0 to width - 1 do
             let i = base + (l * s) in
-            Array.unsafe_set d l (Memory.get_f mem buf i);
-            t.emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Read ~chain:false
+            if i >= 0 && i < n then Array.unsafe_set d l (Array.unsafe_get a i)
+            else Array.unsafe_set d l (Memory.get_f mem buf i);
+            hook ~thread:t.thread ~addr:(abase + (4 * i)) ~bytes:4 ~write:false
+              ~chain:false ~nt:false
           done
     | Vgatherf { dst = Vf dst; buf; idx = Vi idx; mask; chain } ->
         let get_act = act_get mask in
+        let a, abase = floats buf in
+        let n = Array.length a in
         fun t ->
           let d = t.vf.(dst) and ix = t.vi.(idx) and act = get_act t in
           emit_lanes_act t act;
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Array.unsafe_set d l (Memory.get_f mem buf (Array.unsafe_get ix l));
-              t.emit ~nt:false ~buf ~idx:(Array.unsafe_get ix l) ~bytes:4 ~kind:Read ~chain
+              let i = Array.unsafe_get ix l in
+              if i >= 0 && i < n then Array.unsafe_set d l (Array.unsafe_get a i)
+              else Array.unsafe_set d l (Memory.get_f mem buf i);
+              hook ~thread:t.thread ~addr:(abase + (4 * i)) ~bytes:4
+                ~write:false ~chain ~nt:false
             end
           done
     | Vgatheri { dst = Vi dst; buf; idx = Vi idx; mask; chain } ->
         let get_act = act_get mask in
+        let a, abase = ints buf in
+        let n = Array.length a in
         fun t ->
           let vi = t.vi in
           let d = vi.(dst) and ix = vi.(idx) and act = get_act t in
           emit_lanes_act t act;
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Array.unsafe_set d l (Memory.get_i mem buf (Array.unsafe_get ix l));
-              t.emit ~nt:false ~buf ~idx:(Array.unsafe_get ix l) ~bytes:4 ~kind:Read ~chain
+              let i = Array.unsafe_get ix l in
+              if i >= 0 && i < n then Array.unsafe_set d l (Array.unsafe_get a i)
+              else Array.unsafe_set d l (Memory.get_i mem buf i);
+              (* the address re-reads the index lane after the write, as
+                 the tree walker does: with [dst = idx] it is the loaded
+                 value *)
+              hook ~thread:t.thread
+                ~addr:(abase + (4 * Array.unsafe_get ix l))
+                ~bytes:4 ~write:false ~chain ~nt:false
             end
           done
     | Vstoref { buf; idx = Si idx; src = Vf src; mask = None } ->
+        let a, abase = floats buf in
+        let n = Array.length a in
         fun t ->
           emit_lanes_act t all_true;
           let base = t.si.(idx) in
-          Memory.set_f_block mem buf base t.vf.(src) width;
-          t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Write
-            ~chain:false
+          let s = t.vf.(src) in
+          if base >= 0 && base + width <= n then
+            for l = 0 to width - 1 do
+              Array.unsafe_set a (base + l) (Array.unsafe_get s l)
+            done
+          else
+            for l = 0 to width - 1 do
+              Memory.set_f mem buf (base + l) s.(l)
+            done;
+          hook ~thread:t.thread ~addr:(abase + (4 * base)) ~bytes:(width * 4)
+            ~write:true ~chain:false ~nt:false
     | Vstoref { buf; idx = Si idx; src = Vf src; mask } ->
         let get_act = act_get mask in
+        let a, abase = floats buf in
+        let n = Array.length a in
         fun t ->
           let s = t.vf.(src) and act = get_act t in
           emit_lanes_act t act;
@@ -804,22 +922,36 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           let any = ref false in
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Memory.set_f mem buf (base + l) (Array.unsafe_get s l);
+              let i = base + l in
+              if i >= 0 && i < n then Array.unsafe_set a i (Array.unsafe_get s l)
+              else Memory.set_f mem buf i (Array.unsafe_get s l);
               any := true
             end
           done;
           if !any then
-            t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Write
-              ~chain:false
+            hook ~thread:t.thread ~addr:(abase + (4 * base)) ~bytes:(width * 4)
+              ~write:true ~chain:false ~nt:false
     | Vstorei { buf; idx = Si idx; src = Vi src; mask = None } ->
+        let a, abase = ints buf in
+        let n = Array.length a in
         fun t ->
           emit_lanes_act t all_true;
           let base = t.si.(idx) in
-          Memory.set_i_block mem buf base t.vi.(src) width;
-          t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Write
-            ~chain:false
+          let s = t.vi.(src) in
+          if base >= 0 && base + width <= n then
+            for l = 0 to width - 1 do
+              Array.unsafe_set a (base + l) (Array.unsafe_get s l)
+            done
+          else
+            for l = 0 to width - 1 do
+              Memory.set_i mem buf (base + l) s.(l)
+            done;
+          hook ~thread:t.thread ~addr:(abase + (4 * base)) ~bytes:(width * 4)
+            ~write:true ~chain:false ~nt:false
     | Vstorei { buf; idx = Si idx; src = Vi src; mask } ->
         let get_act = act_get mask in
+        let a, abase = ints buf in
+        let n = Array.length a in
         fun t ->
           let s = t.vi.(src) and act = get_act t in
           emit_lanes_act t act;
@@ -827,52 +959,76 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           let any = ref false in
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Memory.set_i mem buf (base + l) (Array.unsafe_get s l);
+              let i = base + l in
+              if i >= 0 && i < n then Array.unsafe_set a i (Array.unsafe_get s l)
+              else Memory.set_i mem buf i (Array.unsafe_get s l);
               any := true
             end
           done;
           if !any then
-            t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Write
-              ~chain:false
+            hook ~thread:t.thread ~addr:(abase + (4 * base)) ~bytes:(width * 4)
+              ~write:true ~chain:false ~nt:false
     | Vstoref_nt { buf; idx = Si idx; src = Vf src } ->
+        let a, abase = floats buf in
+        let n = Array.length a in
         fun t ->
           let base = t.si.(idx) in
-          Memory.set_f_block mem buf base t.vf.(src) width;
-          t.emit ~nt:true ~buf ~idx:base ~bytes:(width * 4) ~kind:Write
-            ~chain:false
+          let s = t.vf.(src) in
+          if base >= 0 && base + width <= n then
+            for l = 0 to width - 1 do
+              Array.unsafe_set a (base + l) (Array.unsafe_get s l)
+            done
+          else
+            for l = 0 to width - 1 do
+              Memory.set_f mem buf (base + l) s.(l)
+            done;
+          hook ~thread:t.thread ~addr:(abase + (4 * base)) ~bytes:(width * 4)
+            ~write:true ~chain:false ~nt:true
     | Vstoref_strided { buf; idx = Si idx; stride = Si stride; src = Vf src }
       ->
+        let a, abase = floats buf in
+        let n = Array.length a in
         fun t ->
           let s = t.vf.(src) in
           let base = t.si.(idx) and st = t.si.(stride) in
           for l = 0 to width - 1 do
             let i = base + (l * st) in
-            Memory.set_f mem buf i (Array.unsafe_get s l);
-            t.emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Write ~chain:false
+            if i >= 0 && i < n then Array.unsafe_set a i (Array.unsafe_get s l)
+            else Memory.set_f mem buf i (Array.unsafe_get s l);
+            hook ~thread:t.thread ~addr:(abase + (4 * i)) ~bytes:4 ~write:true
+              ~chain:false ~nt:false
           done
     | Vscatterf { buf; idx = Vi idx; src = Vf src; mask } ->
         let get_act = act_get mask in
+        let a, abase = floats buf in
+        let n = Array.length a in
         fun t ->
           let ix = t.vi.(idx) and s = t.vf.(src) and act = get_act t in
           emit_lanes_act t act;
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Memory.set_f mem buf (Array.unsafe_get ix l) (Array.unsafe_get s l);
-              t.emit ~nt:false ~buf ~idx:(Array.unsafe_get ix l) ~bytes:4 ~kind:Write
-                ~chain:false
+              let i = Array.unsafe_get ix l in
+              if i >= 0 && i < n then Array.unsafe_set a i (Array.unsafe_get s l)
+              else Memory.set_f mem buf i (Array.unsafe_get s l);
+              hook ~thread:t.thread ~addr:(abase + (4 * i)) ~bytes:4
+                ~write:true ~chain:false ~nt:false
             end
           done
     | Vscatteri { buf; idx = Vi idx; src = Vi src; mask } ->
         let get_act = act_get mask in
+        let a, abase = ints buf in
+        let n = Array.length a in
         fun t ->
           let vi = t.vi in
           let ix = vi.(idx) and s = vi.(src) and act = get_act t in
           emit_lanes_act t act;
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Memory.set_i mem buf (Array.unsafe_get ix l) (Array.unsafe_get s l);
-              t.emit ~nt:false ~buf ~idx:(Array.unsafe_get ix l) ~bytes:4 ~kind:Write
-                ~chain:false
+              let i = Array.unsafe_get ix l in
+              if i >= 0 && i < n then Array.unsafe_set a i (Array.unsafe_get s l)
+              else Memory.set_i mem buf i (Array.unsafe_get s l);
+              hook ~thread:t.thread ~addr:(abase + (4 * i)) ~bytes:4
+                ~write:true ~chain:false ~nt:false
             end
           done
   in
@@ -1013,7 +1169,10 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
     | _ ->
         fun t ->
           let row = t.row in
-          Array.iter (fun (c, n) -> row.(c) <- row.(c) + n) cost_arr;
+          for k = 0 to Array.length cost_arr - 1 do
+            let c, n = Array.unsafe_get cost_arr k in
+            row.(c) <- row.(c) + n
+          done;
           charge tot;
           for i = 0 to Array.length actions - 1 do
             (Array.unsafe_get actions i) t
@@ -1069,7 +1228,10 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
     | _ ->
         fun t ->
           let row = t.row in
-          Array.iter (fun (c, n) -> row.(c) <- row.(c) + n) cost_arr;
+          for k = 0 to Array.length cost_arr - 1 do
+            let c, n = Array.unsafe_get cost_arr k in
+            row.(c) <- row.(c) + n
+          done;
           charge tot;
           for i = 0 to Array.length actions - 1 do
             (Array.unsafe_get actions i) t

@@ -9,6 +9,13 @@
 
     - every straight-line op becomes a pre-resolved action closure
       (operands, operator and mask slot are resolved at compile time);
+    - memory ops index their buffer's live array directly after one
+      bounds check (buffers are resolved once per compilation) and hand
+      each access to the context's allocation-free {!Event.hook} with its
+      modeled address precomputed; an out-of-bounds or mistyped access
+      falls back to the checked {!Memory} accessor, so its trap, the
+      lanes written before it and the events before it are the tree
+      walker's (contract in compile.ml's header);
     - basic blocks become superinstruction closures whose
       count/instruction/fuel bookkeeping is batched per segment — a
       segment never extends past an op that can trap or emit a memory
@@ -34,10 +41,9 @@
     [Trace.Op] stream keeps its exact per-op order. *)
 
 (** The per-thread execution state a compiled closure runs against: the
-    thread's register file rows, its {!Counts} row, its (already
-    devirtualized) memory-event hook and its id for trace/event
-    attribution. One {!compile} result may be called with any number of
-    distinct [tctx] values, one per simulated thread. *)
+    thread's register file rows, its {!Counts} row and its id for
+    trace/event attribution. One {!compile} result may be called with
+    any number of distinct [tctx] values, one per simulated thread. *)
 type tctx = {
   si : int array;  (** scalar int registers *)
   sf : float array;  (** scalar float registers *)
@@ -46,20 +52,11 @@ type tctx = {
   vm : bool array array;  (** vector mask registers *)
   row : int array;  (** this thread's {!Counts} row *)
   thread : int;  (** thread id (trace/event attribution) *)
-  emit :
-    nt:bool ->
-    buf:Isa.buf ->
-    idx:int ->
-    bytes:int ->
-    kind:Event.kind ->
-    chain:bool ->
-    unit;
-      (** memory-event hook, already devirtualized by the caller *)
 }
 
 (** The run-constant compilation context, shared by every thread: the
-    memory image, loop-state slots, the shared instruction/fuel cells
-    and the trace sink. Closures capture these cells directly, so the
+    memory image, loop-state slots, the shared instruction/fuel cells,
+    the trace sink and the access hook. Closures capture these cells directly, so the
     caller must pass the same arrays/refs the rest of the run observes.
     [scratch] and [all_true] are the interpreter's shared width-sized
     scratch rows (threads execute one after another, so sharing is
@@ -76,6 +73,9 @@ type ctx = {
   for_hi : int array;  (** per-loop bound slots *)
   for_step : int array;  (** per-loop step slots *)
   trace : Trace.sink option;  (** trace sink; [Some _] disables batching *)
+  hook : Event.hook;
+      (** receives every memory access, with its modeled address
+          precomputed ({!Event.ignore_access} when nothing listens) *)
 }
 
 val compile : ctx -> Decode.dop array -> tctx -> unit

@@ -26,9 +26,10 @@
 
    Equivalence is property-tested instruction-by-instruction in
    test/test_compile.ml and pinned suite-wide by the experiments golden.
-   The event/trace hooks are devirtualized in both paths: emit closures
-   are selected once per phase on tracker/sink presence, so the
-   no-profiler case pays no per-access option matching. *)
+   Memory accesses reach their consumers through one {!Event.hook} built
+   per session from what is attached (race tracker, [?access], [?sink]),
+   so neither backend matches on consumer presence per access, and an
+   access allocates nothing unless a record-level sink is attached. *)
 
 exception Trap = Memory.Trap
 
@@ -138,6 +139,24 @@ let track_access rt ~thread ~addr ~(kind : Event.kind) =
       | Some _ -> ()
       | None -> Hashtbl.replace rt.reads addr thread)
 
+(* The tracker as an access consumer: one check per 4-byte element. *)
+let race_hook rt : Event.hook =
+  let hook ~thread ~addr ~bytes ~write ~chain:_ ~nt:_ =
+    let kind = if write then Event.Write else Event.Read in
+    for k = 0 to (bytes / 4) - 1 do
+      track_access rt ~thread ~addr:(addr + (k * 4)) ~kind
+    done
+  in
+  hook
+
+(* Two consumers of one access, in order. *)
+let both (h1 : Event.hook) (h2 : Event.hook) : Event.hook =
+  let hook ~thread ~addr ~bytes ~write ~chain ~nt =
+    h1 ~thread ~addr ~bytes ~write ~chain ~nt;
+    h2 ~thread ~addr ~bytes ~write ~chain ~nt
+  in
+  hook
+
 exception Race of string list
 
 (* The work one thread performs in one phase: the structured block (tree
@@ -145,7 +164,7 @@ exception Race of string list
    compilation, shared by every thread that executes the phase. *)
 type work = Wtree of Isa.block | Wcomp of (Compile.tctx -> unit)
 
-let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
+let session ?(n_threads = 1) ?(width = 4) ?access ?sink ?trace ?fuel
     ?(check_races = false) ?(strategy = Compiled) ?decoded ?on_states
     (prog : Isa.program) (mem : Memory.t) =
   Isa.validate prog;
@@ -158,6 +177,17 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
   let scratch = Array.make width 0. in
   let all_true = Array.make width true in
   let tracker = if check_races then Some (race_tracker ()) else None in
+  (* The one access hook both backends call, built once from the attached
+     consumers in a fixed order: race tracker, [access], [sink] (the
+     record-building adapter). With none attached it is a no-op. *)
+  let hook =
+    match
+      List.filter_map Fun.id
+        [ Option.map race_hook tracker; access; Option.map Event.hook_of_sink sink ]
+    with
+    | [] -> Event.ignore_access
+    | h :: rest -> List.fold_left both h rest
+  in
   (* Compile each decoded phase once, up front — the closures take the
      per-thread state as an argument ({!Compile.tctx}), so a parallel
      phase's n_threads executions share one compilation. The per-loop
@@ -178,6 +208,7 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
         for_hi = Array.make n_fors 0;
         for_step = Array.make n_fors 0;
         trace;
+        hook;
       }
     in
     Array.to_list
@@ -200,28 +231,6 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
     | None, Compiled -> compile_phases (Decode.decode prog)
   in
 
-  (* Memory-access hook, devirtualized: selected once per (thread, phase)
-     on sink/tracker presence so the common no-instrumentation case is a
-     constant no-op closure rather than two option matches per access. *)
-  let make_emit ~thread =
-    match (tracker, sink) with
-    | None, None -> fun ~nt:_ ~buf:_ ~idx:_ ~bytes:_ ~kind:_ ~chain:_ -> ()
-    | _ ->
-        fun ~nt ~buf ~idx ~bytes ~kind ~chain ->
-          (match tracker with
-          | Some rt ->
-              let base = Memory.address mem buf idx in
-              let n = bytes / 4 in
-              for k = 0 to n - 1 do
-                track_access rt ~thread ~addr:(base + (k * 4)) ~kind
-              done
-          | None -> ());
-          (match sink with
-          | Some f ->
-              f { Event.thread; addr = Memory.address mem buf idx; bytes; kind; chain; nt }
-          | None -> ())
-  in
-
   (* ---- tree walker: the reference implementation, kept structurally
      identical to the original interpreter (per-register accessor closures,
      classify-on-execute) so it stays the honest performance baseline. ---- *)
@@ -236,18 +245,8 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
       | None -> ()
     in
     let emit ?(nt = false) ~buf ~idx ~bytes ~kind ~chain () =
-      (match tracker with
-      | Some rt ->
-          let base = Memory.address mem buf idx in
-          let n = bytes / 4 in
-          for k = 0 to n - 1 do
-            track_access rt ~thread ~addr:(base + (k * 4)) ~kind
-          done
-      | None -> ());
-      match sink with
-      | Some f ->
-          f { Event.thread; addr = Memory.address mem buf idx; bytes; kind; chain; nt }
-      | None -> ()
+      hook ~thread ~addr:(Memory.address mem buf idx) ~bytes
+        ~write:(kind = Event.Write) ~chain ~nt
     in
     let geti (Isa.Si r) = st.si.(r) in
     let seti (Isa.Si r) v = st.si.(r) <- v in
@@ -549,31 +548,27 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
   in
 
   (* ---- compiled executor: run one thread through a phase closure
-     pre-compiled by {!Compile} (see the phase_work mapping above). ---- *)
-  let run_compiled ~thread st (k : Compile.tctx -> unit) =
-    let emit =
-      match (tracker, sink) with
-      | None, Some f ->
-          fun ~nt ~buf ~idx ~bytes ~kind ~chain ->
-            f { Event.thread; addr = Memory.address mem buf idx; bytes; kind; chain; nt }
-      | _ -> make_emit ~thread
-    in
-    k
-      {
-        Compile.si = st.si;
-        sf = st.sf;
-        vf = st.vf;
-        vi = st.vi;
-        vm = st.vm;
-        row = Counts.thread_row counts ~thread;
-        thread;
-        emit;
-      }
+     pre-compiled by {!Compile} (see the phase_work mapping above),
+     against that thread's state, built once per session (the register
+     files and count rows are reset in place between launches). ---- *)
+  let tctxs =
+    Array.mapi
+      (fun thread st ->
+        {
+          Compile.si = st.si;
+          sf = st.sf;
+          vf = st.vf;
+          vi = st.vi;
+          vm = st.vm;
+          row = Counts.thread_row counts ~thread;
+          thread;
+        })
+      states
   in
 
   let run_block ~thread st = function
     | Wtree b -> run_tree ~thread st b
-    | Wcomp k -> run_compiled ~thread st k
+    | Wcomp k -> k tctxs.(thread)
   in
 
   let init_thread tid =
@@ -612,14 +607,13 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
         | None -> ());
         let run_thread ~parallel tid work =
           init_thread tid;
-          let scope = Trace.Phase { index = phase_idx; parallel } in
-          (match trace with
-          | Some f -> f (Trace.Enter { thread = tid; scope })
-          | None -> ());
-          run_block ~thread:tid states.(tid) work;
           match trace with
-          | Some f -> f (Trace.Exit { thread = tid; scope })
-          | None -> ()
+          | None -> run_block ~thread:tid states.(tid) work
+          | Some f ->
+              let scope = Trace.Phase { index = phase_idx; parallel } in
+              f (Trace.Enter { thread = tid; scope });
+              run_block ~thread:tid states.(tid) work;
+              f (Trace.Exit { thread = tid; scope })
         in
         if parallel then
           for tid = 0 to n_threads - 1 do
@@ -633,8 +627,8 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
     (match on_states with Some f -> f states | None -> ());
     { counts = Counts.copy counts; instructions = !instructions }
 
-let run ?n_threads ?width ?sink ?trace ?fuel ?check_races ?strategy ?decoded
-    ?on_states prog mem =
-  (session ?n_threads ?width ?sink ?trace ?fuel ?check_races ?strategy ?decoded
-     ?on_states prog mem)
+let run ?n_threads ?width ?access ?sink ?trace ?fuel ?check_races ?strategy
+    ?decoded ?on_states prog mem =
+  (session ?n_threads ?width ?access ?sink ?trace ?fuel ?check_races ?strategy
+     ?decoded ?on_states prog mem)
     ()

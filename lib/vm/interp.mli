@@ -2,7 +2,9 @@
 
     Executes a program against a {!Memory.t} with a configurable thread
     count and vector width, producing per-class instruction counts and
-    (optionally) a memory-access event stream for the timing model.
+    (optionally) a memory-access stream for the timing model: an
+    allocation-free {!Event.hook} ([?access]) or a record-level
+    {!Event.sink} ([?sink]).
 
     [Par] phases execute thread-after-thread, which equals true parallel
     execution for race-free programs; [~check_races:true] verifies that
@@ -61,6 +63,7 @@ type thread_state = {
 val session :
   ?n_threads:int ->
   ?width:int ->
+  ?access:Event.hook ->
   ?sink:Event.sink ->
   ?trace:Trace.sink ->
   ?fuel:int ->
@@ -84,6 +87,7 @@ val session :
 val run :
   ?n_threads:int ->
   ?width:int ->
+  ?access:Event.hook ->
   ?sink:Event.sink ->
   ?trace:Trace.sink ->
   ?fuel:int ->
@@ -99,7 +103,14 @@ val run :
 
     @param n_threads SPMD thread count for [Par] phases (default 1).
     @param width vector lane count (default 4).
-    @param sink receives every memory access event as it happens.
+    @param access receives every memory access as it happens, as
+      immediates: the modeled address is precomputed and nothing is
+      allocated per access. The timing model's cache walk.
+    @param sink receives every memory access as an {!Event.t} record,
+      built per access only because a sink is attached (tests, tools).
+      With [access], [sink] and [check_races] in any combination, one
+      hook is built per session and calls the race tracker, then
+      [access], then [sink].
     @param trace receives profiling events (scope enter/exit for phases and
       [Region]s, one {!Trace.Op} per dynamic instruction, SIMD
       lane-utilization per masked vector memory access). Adds no work when

@@ -82,43 +82,10 @@ let set_i t (Isa.Buf b as buf) idx v =
   | Ibuf a -> a.(idx) <- v
   | Fbuf _ -> trap "type confusion writing %s as i32" t.decls.(b).buf_name
 
-(* Bulk accessors for the decoded fast path: one bounds/type check per
-   contiguous vector access instead of one per lane. When any lane would
-   be out of bounds — or the buffer has the wrong element type — they fall
-   back to the per-lane accessors, so trap messages, trap order, and
-   partially-written destination lanes are identical to a lane-by-lane
-   loop. *)
-let get_f_block t (Isa.Buf b as buf) base dst w =
-  match t.buffers.(b) with
-  | Fbuf a when base >= 0 && base + w <= Array.length a -> Array.blit a base dst 0 w
-  | _ ->
-      for l = 0 to w - 1 do
-        dst.(l) <- get_f t buf (base + l)
-      done
-
-let get_i_block t (Isa.Buf b as buf) base dst w =
-  match t.buffers.(b) with
-  | Ibuf a when base >= 0 && base + w <= Array.length a -> Array.blit a base dst 0 w
-  | _ ->
-      for l = 0 to w - 1 do
-        dst.(l) <- get_i t buf (base + l)
-      done
-
-let set_f_block t (Isa.Buf b as buf) base src w =
-  match t.buffers.(b) with
-  | Fbuf a when base >= 0 && base + w <= Array.length a -> Array.blit src 0 a base w
-  | _ ->
-      for l = 0 to w - 1 do
-        set_f t buf (base + l) src.(l)
-      done
-
-let set_i_block t (Isa.Buf b as buf) base src w =
-  match t.buffers.(b) with
-  | Ibuf a when base >= 0 && base + w <= Array.length a -> Array.blit src 0 a base w
-  | _ ->
-      for l = 0 to w - 1 do
-        set_i t buf (base + l) src.(l)
-      done
+(* Compile-time resolution for the compiled backend: the live array and
+   the base address, so a memory op can index the array directly after its
+   own bounds check and compute its modeled address as base + 4 * idx. *)
+let resolve t (Isa.Buf b) = (t.buffers.(b), t.bases.(b))
 
 let address t (Isa.Buf b) idx = t.bases.(b) + (idx * 4)
 

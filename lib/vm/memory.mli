@@ -36,22 +36,15 @@ val set_f : t -> Isa.buf -> int -> float -> unit
 val set_i : t -> Isa.buf -> int -> int -> unit
 (** Write an int element (bounds- and type-checked; raises {!Trap}). *)
 
-val get_f_block : t -> Isa.buf -> int -> float array -> int -> unit
-(** [get_f_block t buf base dst w] reads the [w] contiguous elements
-    starting at [base] into [dst.(0..w-1)] with a single bounds/type
-    check, falling back to per-lane {!get_f} (identical traps and partial
-    writes) when the range is not fully in bounds. *)
-
-val get_i_block : t -> Isa.buf -> int -> int array -> int -> unit
-(** Int counterpart of {!get_f_block}. *)
-
-val set_f_block : t -> Isa.buf -> int -> float array -> int -> unit
-(** [set_f_block t buf base src w] writes [src.(0..w-1)] to the [w]
-    contiguous elements starting at [base]; same fallback contract as
-    {!get_f_block}. *)
-
-val set_i_block : t -> Isa.buf -> int -> int array -> int -> unit
-(** Int counterpart of {!set_f_block}. *)
+val resolve : t -> Isa.buf -> buffer * int
+(** [resolve t buf] is [buf]'s live array (not a copy) and its modeled
+    base byte address: element [i] lives at [base + 4 * i]. The compiled
+    backend resolves every buffer once per session and then indexes the
+    array directly after one bounds check of its own; an out-of-bounds or
+    mistyped access falls back to the checked accessors above, so traps
+    are the tree walker's. The binding of a buffer never changes after
+    {!create}.
+    @raise Invalid_argument if [buf] is not one of the program's buffers. *)
 
 val address : t -> Isa.buf -> int -> int
 (** Modeled byte address of an element. *)

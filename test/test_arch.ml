@@ -13,9 +13,9 @@ let tiny_cache () =
 let test_cache_hit_after_fill () =
   let c = tiny_cache () in
   let r1 = Cache.access c ~line_addr:5 ~write:false in
-  Alcotest.(check bool) "first is miss" false r1.hit;
+  Alcotest.(check bool) "first is miss" false (r1 = Cache.hit);
   let r2 = Cache.access c ~line_addr:5 ~write:false in
-  Alcotest.(check bool) "second is hit" true r2.hit
+  Alcotest.(check bool) "second is hit" true (r2 = Cache.hit)
 
 let test_cache_lru_eviction () =
   (* 512B/64B = 8 lines, 2-way -> 4 sets. Lines 0, 4, 8 map to set 0. *)
@@ -33,7 +33,7 @@ let test_cache_dirty_eviction () =
   ignore (Cache.access c ~line_addr:0 ~write:true);
   ignore (Cache.access c ~line_addr:4 ~write:false);
   let r = Cache.access c ~line_addr:8 ~write:false in
-  Alcotest.(check (option int)) "dirty line 0 written back" (Some 0) r.evicted_dirty
+  Alcotest.(check int) "dirty line 0 written back" 0 r
 
 let test_cache_dirty_count () =
   let c = tiny_cache () in
@@ -186,27 +186,27 @@ module Lru_model = struct
 
   let create ~n_sets ~assoc = { assoc; sets = Array.init n_sets (fun _ -> ref []) }
 
-  (* mirror of Cache.access: returns the same outcome record *)
+  (* mirror of Cache.access: returns the same int-coded outcome *)
   let access m ~line_addr ~write : Cache.outcome =
     let set = m.sets.(line_addr mod Array.length m.sets) in
     match List.assoc_opt line_addr !set with
     | Some dirty ->
         if write then dirty := true;
         set := (line_addr, dirty) :: List.remove_assoc line_addr !set;
-        { hit = true; evicted_dirty = None }
+        Cache.hit
     | None ->
         let kept = (line_addr, ref write) :: !set in
-        let evicted_dirty =
-          if List.length kept <= m.assoc then None
+        let outcome =
+          if List.length kept <= m.assoc then Cache.clean_miss
           else
             match List.rev kept with
-            | (victim, dirty) :: _ -> if !dirty then Some victim else None
+            | (victim, dirty) :: _ -> if !dirty then victim else Cache.clean_miss
             | [] -> assert false
         in
         set :=
           (if List.length kept <= m.assoc then kept
            else List.filteri (fun i _ -> i < m.assoc) kept);
-        { hit = false; evicted_dirty }
+        outcome
 end
 
 (* (sets, assoc, accesses): small geometries so eviction is exercised *)
@@ -263,7 +263,7 @@ let prop_fully_assoc_no_eviction_within_capacity =
       let no_evict =
         List.for_all
           (fun line_addr ->
-            (Cache.access c ~line_addr ~write:true).evicted_dirty = None)
+            Cache.access c ~line_addr ~write:true < 0)
           picks
       in
       no_evict
@@ -280,6 +280,64 @@ let prop_cache_most_recent_present =
           ignore (Cache.access c ~line_addr:a ~write:false);
           Cache.probe c ~line_addr:a)
         addrs)
+
+(* Allocation pin for the simulated memory path: once a simulation's
+   session exists, its launches — compiled code, access hook, cache walk,
+   stall accounting — must allocate (almost) nothing per simulated op.
+   Each job is driven as Timing.simulate drives it untraced (one session
+   with Timing.access_hook over a fresh hierarchy, the step's launches
+   and prepare calls), at the sweep's jobs: every benchmark at its
+   default scale, naive serial and ninja, on Westmere and Knights Ferry.
+   Gc.minor_words, not Gc.quick_stat: the latter only advances at minor
+   collections. *)
+let max_words_per_op = 0.05
+
+let test_simulation_allocation_free () =
+  let module Driver = Ninja_kernels.Driver in
+  let failures = ref [] in
+  List.iter
+    (fun (bench : Driver.benchmark) ->
+      let ladder = bench.steps ~scale:bench.default_scale in
+      List.iter
+        (fun (machine : Machine.t) ->
+          List.iter
+            (fun step_name ->
+              let step =
+                List.find (fun (s : Driver.step) -> s.step_name = step_name) ladder
+              in
+              let prog = step.make ~machine in
+              let mem = Driver.memory_for prog (step.bindings ()) in
+              let n_threads = if step.parallel then machine.cores else 1 in
+              let stalls = Array.make n_threads 0. in
+              let access =
+                Timing.access_hook machine (Hierarchy.create machine) ~stalls
+              in
+              let launch =
+                Interp.session ~n_threads ~width:machine.simd_width ~access prog mem
+              in
+              let w0 = Gc.minor_words () in
+              let ops = ref 0 in
+              for run = 0 to step.runs machine - 1 do
+                step.prepare machine run mem;
+                ops := !ops + (launch ()).instructions
+              done;
+              let per_op = (Gc.minor_words () -. w0) /. float_of_int !ops in
+              if not (per_op < max_words_per_op) then
+                failures :=
+                  Fmt.str "%s/%s/%s: %.3f words/op over %d ops" bench.b_name
+                    machine.name step_name per_op !ops
+                  :: !failures)
+            [ "naive serial"; "ninja" ])
+        [ Machine.westmere; Machine.knights_ferry ])
+    Ninja_kernels.Registry.all;
+  match List.rev !failures with
+  | [] -> ()
+  | fs ->
+      Alcotest.fail
+        (Fmt.str "simulation allocates >= %.2f minor words per op:@ %a"
+           max_words_per_op
+           Fmt.(list ~sep:semi string)
+           fs)
 
 let suite =
   ( "arch",
@@ -302,6 +360,8 @@ let suite =
       Alcotest.test_case "traffic accounting" `Quick test_timing_traffic_accounting;
       Alcotest.test_case "oversubscription rejected" `Quick test_timing_rejects_oversubscription;
       Alcotest.test_case "flops and speedup" `Quick test_speedup_and_flops;
+      Alcotest.test_case "simulation allocation-free" `Slow
+        test_simulation_allocation_free;
       QCheck_alcotest.to_alcotest prop_cache_most_recent_present;
       QCheck_alcotest.to_alcotest prop_cache_matches_lru_model;
       QCheck_alcotest.to_alcotest prop_cache_hits_plus_misses;

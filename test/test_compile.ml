@@ -58,32 +58,42 @@ let prop_tree_vs_compiled =
    straight-line segment, and these pin that a batch never moves a trap
    across an observable effect. *)
 
-let trap_pair ?(width = 4) ?(fuel = 1_000) build args =
-  let obs strategy =
-    let b = Builder.create ~name:"trap" in
-    build b;
-    let prog = Builder.finish b in
-    let mem = Memory.create prog (args ()) in
-    let r =
-      match Interp.run ~width ~fuel ~strategy prog mem with
-      | (_ : Interp.result) -> Error "no trap"
-      | exception Interp.Trap m -> Ok m
-    in
-    let snapshot =
-      List.map (fun (name, _) ->
-          match Memory.find mem name with
-          | _, Memory.Fbuf a -> (name, `F (Array.copy a))
-          | _, Memory.Ibuf a -> (name, `I (Array.copy a)))
-        (args ())
-    in
-    (r, snapshot)
+(* One run of a trapping fixture: the trap message (or "no trap"), the
+   access events up to the fault, and each bound buffer's contents after
+   it (its first [length] elements as bound by [args]). [bind] overrides
+   the bindings the run executes against and [addr] rewrites each
+   event's address — both only to emulate seeded fast-path bugs below. *)
+let trap_obs ?(width = 4) ?(fuel = 1_000) ?decoded ?bind ?(addr = fun _ a -> a)
+    ~strategy build args =
+  let b = Builder.create ~name:"trap" in
+  build b;
+  let prog = Builder.finish b in
+  let mem = Memory.create prog (Option.value bind ~default:args ()) in
+  let events = ref [] in
+  let sink (e : Event.t) = events := { e with addr = addr mem e.addr } :: !events in
+  let r =
+    match Interp.run ~width ~fuel ~sink ~strategy ?decoded prog mem with
+    | (_ : Interp.result) -> Error "no trap"
+    | exception Interp.Trap m -> Ok m
   in
-  let t = obs Interp.Tree and c = obs Interp.Compiled in
+  let snapshot =
+    List.map (fun (name, binding) ->
+        match (Memory.find mem name, binding) with
+        | (_, Memory.Fbuf a), Memory.Fbuf a0 -> (name, `F (Array.sub a 0 (Array.length a0)))
+        | (_, Memory.Ibuf a), Memory.Ibuf a0 -> (name, `I (Array.sub a 0 (Array.length a0)))
+        | _ -> assert false)
+      (args ())
+  in
+  (r, List.rev !events, snapshot)
+
+let trap_pair ?width ?fuel build args =
+  let t = trap_obs ?width ?fuel ~strategy:Interp.Tree build args in
+  let c = trap_obs ?width ?fuel ~strategy:Interp.Compiled build args in
   Alcotest.(check bool) "Tree and Compiled trap identically" true
     (compare t c = 0);
-  match fst t with
-  | Ok msg -> msg
-  | Error e -> Alcotest.fail ("expected a trap, got: " ^ e)
+  match t with
+  | Ok msg, _, _ -> msg
+  | Error e, _, _ -> Alcotest.fail ("expected a trap, got: " ^ e)
 
 let test_trap_fuel_exhausted () =
   let msg =
@@ -163,6 +173,137 @@ let test_trap_nonpositive_step () =
   Alcotest.(check bool) "step in message" true
     (Astring_contains.contains msg "step")
 
+(* Traps on the resolved-buffer fast paths: each memory arm indexes the
+   live array after its own bounds check and falls back to the checked
+   accessor out of bounds, which must reproduce the tree walker's message,
+   the writes of the lanes before the faulting one, and the event prefix.
+   Every fixture touches a nonzero index before faulting, so a wrong
+   address scale shows in the event prefix, and all but the scalar store
+   (which faults at -1) fault at index [length], the first index a wrong
+   upper bound would admit. *)
+
+let fbuf8 () = [ ("buf", Memory.Fbuf (Array.init 8 float_of_int)) ]
+
+let oob_scalar_load b =
+  let buf = Builder.buffer_f b "buf" in
+  Builder.seq_phase b (fun () ->
+      let x = Builder.sf b in
+      Builder.emit b (Loadf { dst = x; buf; idx = Builder.iconst b 3; chain = false });
+      Builder.emit b (Storef { buf; idx = Builder.iconst b 5; src = x });
+      Builder.emit b (Loadf { dst = x; buf; idx = Builder.iconst b 8; chain = false }))
+
+let oob_scalar_store b =
+  let buf = Builder.buffer_i b "buf" in
+  Builder.seq_phase b (fun () ->
+      let x = Builder.iconst b 42 in
+      Builder.emit b (Storei { buf; idx = Builder.iconst b 2; src = x });
+      Builder.emit b (Storei { buf; idx = Builder.iconst b (-1); src = x }))
+
+(* lanes 6, 7 and 8 active over an 8-element buffer: two lane writes land,
+   the third lane traps *)
+let oob_masked_store b =
+  let buf = Builder.buffer_f b "buf" in
+  Builder.seq_phase b (fun () ->
+      let v = Builder.vf b in
+      Builder.emit b (Vbroadcastf (v, Builder.fconst b 9.));
+      Builder.emit b (Vstoref { buf; idx = Builder.iconst b 1; src = v; mask = None });
+      let m = Builder.vm b in
+      Builder.emit b (Mfirst (m, Builder.iconst b 3));
+      Builder.emit b (Vstoref { buf; idx = Builder.iconst b 6; src = v; mask = Some m }))
+
+(* lane indices from the "ix" buffer: lane 2 is out of bounds *)
+let gather_scatter_ix () = [ ("ix", Memory.Ibuf [| 1; 3; 8; 0 |]) ]
+
+let oob_gather b =
+  let buf = Builder.buffer_f b "buf" in
+  let ix = Builder.buffer_i b "ix" in
+  Builder.seq_phase b (fun () ->
+      let iv = Builder.vi b in
+      Builder.emit b (Vloadi { dst = iv; buf = ix; idx = Builder.iconst b 0; mask = None });
+      let v = Builder.vf b in
+      Builder.emit b (Vgatherf { dst = v; buf; idx = iv; mask = None; chain = false });
+      Builder.emit b (Vstoref { buf; idx = Builder.iconst b 0; src = v; mask = None }))
+
+let oob_scatter b =
+  let buf = Builder.buffer_f b "buf" in
+  let ix = Builder.buffer_i b "ix" in
+  Builder.seq_phase b (fun () ->
+      let iv = Builder.vi b in
+      Builder.emit b (Vloadi { dst = iv; buf = ix; idx = Builder.iconst b 0; mask = None });
+      let v = Builder.vf b in
+      Builder.emit b (Vbroadcastf (v, Builder.fconst b (-2.)));
+      Builder.emit b (Vscatterf { buf; idx = iv; src = v; mask = None }))
+
+let oob_case name build args =
+  Alcotest.test_case ("trap: " ^ name) `Quick (fun () ->
+      let msg = trap_pair build args in
+      Alcotest.(check bool) "oob in message" true
+        (Astring_contains.contains msg "out-of-bounds"))
+
+let oob_cases =
+  [
+    oob_case "oob scalar load" oob_scalar_load fbuf8;
+    oob_case "oob scalar store" oob_scalar_store (fun () ->
+        [ ("buf", Memory.Ibuf (Array.make 8 0)) ]);
+    oob_case "oob masked vector lane" oob_masked_store fbuf8;
+    oob_case "oob gather lane" oob_gather (fun () -> fbuf8 () @ gather_scatter_ix ());
+    oob_case "oob scatter lane" oob_scatter (fun () -> fbuf8 () @ gather_scatter_ix ());
+  ]
+
+(* Seeded fast-path mutants, each emulated by its observable effect on
+   the compiled run; the trap fixtures above must refute both:
+   - a bounds test with [<=] for [<] admits index [length]: the compiled
+     run executes as if every buffer had one more element;
+   - a hook given [base + idx] instead of [base + 4 * idx]: the compiled
+     run's event addresses lose their element scale. *)
+let widened args () =
+  List.map
+    (fun (name, b) ->
+      match b with
+      | Memory.Fbuf a -> (name, Memory.Fbuf (Array.append a [| 0. |]))
+      | Memory.Ibuf a -> (name, Memory.Ibuf (Array.append a [| 0 |])))
+    (args ())
+
+let unscaled mem addr =
+  List.fold_left
+    (fun a name ->
+      match Memory.find mem name with
+      | exception Not_found -> a
+      | buf, _ ->
+          let _, base = Memory.resolve mem buf in
+          if addr >= base && addr < base + (4 * Memory.length mem buf) then
+            base + ((addr - base) / 4)
+          else a)
+    addr [ "buf"; "ix" ]
+
+let fast_path_fixtures =
+  [
+    ("oob scalar load", oob_scalar_load, fbuf8);
+    ("oob masked vector lane", oob_masked_store, fbuf8);
+    ("oob gather lane", oob_gather, fun () -> fbuf8 () @ gather_scatter_ix ());
+    ("oob scatter lane", oob_scatter, fun () -> fbuf8 () @ gather_scatter_ix ());
+  ]
+
+let fast_path_mutant ~what ?bind ?addr () =
+  Alcotest.test_case ("mutation: " ^ what ^ " is refuted") `Quick (fun () ->
+      List.iter
+        (fun (name, build, args) ->
+          let t = trap_obs ~strategy:Interp.Tree build args in
+          let c =
+            trap_obs ~strategy:Interp.Compiled
+              ?bind:(Option.map (fun f -> f args) bind)
+              ?addr build args
+          in
+          if compare t c = 0 then
+            Alcotest.fail (Fmt.str "trap fixture %S did not refute %s" name what))
+        fast_path_fixtures)
+
+let fast_path_mutants =
+  [
+    fast_path_mutant ~what:"a fast-path bounds test using <= for <" ~bind:widened ();
+    fast_path_mutant ~what:"a hook given base + idx for base + 4 * idx" ~addr:unscaled ();
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Hand-seeded compiler mutations: execute deliberately broken decoded
    arrays through the compiled executor via [Interp.run ~decoded] and
@@ -235,6 +376,52 @@ let mutation_program () =
       Builder.region b "mutation-region" (fun () ->
           Builder.emit b (Storef { buf = data; idx = one; src = h })));
   Builder.finish b
+
+(* A float load from an int buffer cannot be built (Isa.validate rejects
+   it), so this trap fixture rewrites the decoded op of a valid program:
+   its last op, an int load, becomes a float load of the same buffer. The
+   compiled run must trap with the checked accessor's message, after the
+   same writes and the same events, less the faulting load's, as the tree
+   walker's run of the valid program. *)
+let test_trap_float_op_on_int_buffer () =
+  let build b =
+    let buf = Builder.buffer_f b "buf" in
+    let ix = Builder.buffer_i b "ix" in
+    Builder.seq_phase b (fun () ->
+        let x = Builder.sf b in
+        Builder.emit b (Loadf { dst = x; buf; idx = Builder.iconst b 3; chain = false });
+        Builder.emit b (Storef { buf; idx = Builder.iconst b 4; src = x });
+        let i = Builder.si b in
+        Builder.emit b (Loadi { dst = i; buf = ix; idx = Builder.iconst b 2; chain = false }))
+  in
+  let args () = fbuf8 () @ gather_scatter_ix () in
+  let b = Builder.create ~name:"trap" in
+  build b;
+  let prog = Builder.finish b in
+  let ix_buf, _ = Memory.find (Memory.create prog (args ())) "ix" in
+  let decoded =
+    mutate (Decode.decode prog) (fun _ -> function
+      | Decode.Dinstr { i = Isa.Loadi { buf; idx; chain; _ }; cls; cls_idx } ->
+          (* the program's one float register *)
+          Some
+            (Decode.Dinstr
+               { i = Isa.Loadf { dst = Isa.Sf 0; buf; idx; chain }; cls; cls_idx })
+      | _ -> None)
+  in
+  let expected =
+    match Memory.get_f (Memory.create prog (args ())) ix_buf 2 with
+    | (_ : float) -> Alcotest.fail "checked accessor accepted a mistyped load"
+    | exception Memory.Trap m -> m
+  in
+  let t_res, t_events, t_mem = trap_obs ~strategy:Interp.Tree build args in
+  let c_res, c_events, c_mem =
+    trap_obs ~strategy:Interp.Compiled ~decoded build args
+  in
+  Alcotest.(check bool) "tree run is clean" true (t_res = Error "no trap");
+  Alcotest.(check (result string string)) "compiled trap" (Ok expected) c_res;
+  Alcotest.(check bool) "event prefix" true
+    (c_events = List.filteri (fun i _ -> i < List.length t_events - 1) t_events);
+  Alcotest.(check bool) "memory at the fault" true (compare t_mem c_mem = 0)
 
 (* Refute one mutation: the mutated arrays, executed through the
    compiled backend, must diverge from the tree walker's run. Trace-only
@@ -345,8 +532,14 @@ let suite =
             test_trap_oob_vector_store;
           Alcotest.test_case "trap: non-positive loop step" `Quick
             test_trap_nonpositive_step;
+        ];
+        oob_cases;
+        [
+          Alcotest.test_case "trap: float op on an int buffer" `Quick
+            test_trap_float_op_on_int_buffer;
           Alcotest.test_case "clean compiled arrays match the reference" `Quick
             test_compiled_clean_arrays_agree;
         ];
         mutations;
+        fast_path_mutants;
       ] )

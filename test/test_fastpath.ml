@@ -349,12 +349,8 @@ let prop_cache_fast_matches_reference =
             let a = Cache.access fast ~line_addr ~write in
             let b = Cache.access refc ~line_addr ~write in
             if a <> b then
-              QCheck.Test.fail_reportf "line %d write %b: fast %b/%a, ref %b/%a"
-                line_addr write a.Cache.hit
-                Fmt.(Dump.option int)
-                a.Cache.evicted_dirty b.Cache.hit
-                Fmt.(Dump.option int)
-                b.Cache.evicted_dirty
+              QCheck.Test.fail_reportf "line %d write %b: fast %d, ref %d"
+                line_addr write a b
             else true)
           probes
         &&
